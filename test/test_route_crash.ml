@@ -16,12 +16,13 @@ let nnodes = 8
    counters owned by node 0 across many strips. [charge] sets per-node
    compute cost — skewing it makes a relay hop finish late, so routed
    batches from fast origins park there long enough for a crash window
-   to land on top of them. *)
+   to land on top of them. [owner] places each counter on its node. *)
 let run_fanin ?faults ?(fault_seed = 0x5EED) ?(route = Dpa.Config.All_dsts)
-    ?(charge = fun _node -> 1_000) () =
+    ?(charge = fun _node -> 1_000) ?(owner = fun _counter -> 0) () =
   let heaps = Heap.cluster ~nnodes in
   let counters =
-    Array.init 4 (fun _ -> Heap.alloc heaps.(0) ~floats:[| 0.; 0. |] ~ptrs:[||])
+    Array.init 4 (fun i ->
+        Heap.alloc heaps.(owner i) ~floats:[| 0.; 0. |] ~ptrs:[||])
   in
   let items node =
     Array.init 32 (fun i ->
@@ -115,6 +116,33 @@ let test_ack_loss_and_straightline_dedup () =
       Alcotest.failf "heavy+crash routed schedule diverged at seed %d" seed
   done
 
+let test_mixed_custody_one_phase () =
+  (* Counters 0-1 live on node 0, counters 2-3 on node 5, and only node 0
+     is a routed destination: every origin holds tree-routed batches for
+     owner 0 and straight-line batches for owner 5 in the same phase, both
+     under end-to-end custody while crash windows land on top of them. *)
+  let owner i = if i < 2 then 0 else 5 in
+  let route = Dpa.Config.Hot [ 0 ] in
+  let reference, _, elapsed = run_fanin ~route ~owner () in
+  let flat, _, _ = run_fanin ~route:Dpa.Config.Off ~owner () in
+  Alcotest.(check bool) "fault-free Hot run matches flat" true
+    (reference = flat);
+  let spec = crash_spec ~elapsed ~crashes:2 () in
+  let crashed = ref 0 and reissued = ref 0 in
+  for seed = 1 to 16 do
+    let vals, stats, _ =
+      run_fanin ~faults:spec ~fault_seed:seed ~route ~owner ()
+    in
+    if vals <> reference then
+      Alcotest.failf "mixed custody schedule diverged at seed %d" seed;
+    crashed := !crashed + stats.Dpa.Dpa_stats.crashes;
+    reissued :=
+      !reissued + stats.Dpa.Dpa_stats.upd_reissues
+      + stats.Dpa.Dpa_stats.routed_reissues
+  done;
+  Alcotest.(check bool) "crashes landed mid-phase" true (!crashed > 0);
+  Alcotest.(check bool) "custody batches were re-issued" true (!reissued > 0)
+
 let test_replay_determinism () =
   let _, elapsed = Lazy.force reference in
   let spec = crash_spec ~base:Fault.heavy ~elapsed ~crashes:1 () in
@@ -154,6 +182,8 @@ let suites =
           test_origin_crash_with_held_batches;
         Alcotest.test_case "ack loss + straight-line replay dedup" `Quick
           test_ack_loss_and_straightline_dedup;
+        Alcotest.test_case "routed and flat custody in one phase" `Quick
+          test_mixed_custody_one_phase;
         Alcotest.test_case "fixed-seed replay determinism" `Quick
           test_replay_determinism;
         QCheck_alcotest.to_alcotest qcheck_routed_crash_exact;
