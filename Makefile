@@ -2,7 +2,7 @@
 
 BENCH := bin/dpa_bench.exe
 
-.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke route-crash-smoke scale-smoke bench-obs-overhead clean
+.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke a15-run optimality-smoke route-crash-smoke scale-smoke bench-obs-overhead clean
 
 all: build
 
@@ -122,17 +122,21 @@ integrity-smoke: build
 	@grep -q "Per-phase integrity" /tmp/dpa_integ.txt \
 	  && echo "integrity-smoke: integrity tables consistent across nodes"
 
+# The a15 matrix at reduced scale, run once; optimality-smoke and
+# route-crash-smoke both check this one output.
+a15-run: build
+	dune exec $(BENCH) -- a15 --scale small --bodies 512 | tee /tmp/dpa_a15.txt
+
 # Communication-optimality smoke test: the a15 matrix at reduced scale.
 # Tree-routed aggregation and Morton repartitioning must both strictly
 # lower the measured-volume / optimality-bound ratio of their workload
 # (improved=yes in the summary line), with every cell — including the
 # fault schedules — bit-identical to the flat/static reference.
-optimality-smoke: build
-	dune exec $(BENCH) -- a15 --scale small --bodies 512 | tee /tmp/dpa_optimality.txt
-	@! grep -q DIVERGED /tmp/dpa_optimality.txt \
-	  && grep -q "a15 summary" /tmp/dpa_optimality.txt \
-	  && grep -q "improved=yes" /tmp/dpa_optimality.txt \
-	  && grep -q "0 cell(s) diverged" /tmp/dpa_optimality.txt \
+optimality-smoke: a15-run
+	@! grep -q DIVERGED /tmp/dpa_a15.txt \
+	  && grep -q "a15 summary" /tmp/dpa_a15.txt \
+	  && grep -q "improved=yes" /tmp/dpa_a15.txt \
+	  && grep -q "0 cell(s) diverged" /tmp/dpa_a15.txt \
 	  && echo "optimality-smoke: routed + repartitioned ratios strictly improved, results bit-identical"
 
 # Route-crash smoke test: the routed fan-in cells of the a15 matrix under
@@ -141,11 +145,10 @@ optimality-smoke: build
 # reference (zero divergence), and the custody machinery must actually
 # fire: the summary's route-crash re-issue count has to be non-zero, or
 # the crash windows never hit a batch in flight.
-route-crash-smoke: build
-	dune exec $(BENCH) -- a15 --scale small --bodies 512 | tee /tmp/dpa_route_crash.txt
-	@! grep -q DIVERGED /tmp/dpa_route_crash.txt \
-	  && grep -q "0 cell(s) diverged" /tmp/dpa_route_crash.txt \
-	  && grep -Eq " [1-9][0-9]* route-crash re-issue" /tmp/dpa_route_crash.txt \
+route-crash-smoke: a15-run
+	@! grep -q DIVERGED /tmp/dpa_a15.txt \
+	  && grep -q "0 cell(s) diverged" /tmp/dpa_a15.txt \
+	  && grep -Eq " [1-9][0-9]* route-crash re-issue" /tmp/dpa_a15.txt \
 	  && echo "route-crash-smoke: routed crash cells bit-identical with live origin re-issues"
 
 # Flat-heap scale smoke test: the a16 sweep at reduced scale. The

@@ -52,6 +52,14 @@ type t = {
           every fault schedule. *)
 }
 
+val check : t -> t
+(** [check t] returns [t] if it is a valid configuration and raises
+    [Invalid_argument] otherwise: non-positive [strip_size] or [agg_max],
+    inconsistent [auto] bounds, a [route] without [reuse], or a [Hot] list
+    that is empty or names a negative node. The constructors below apply
+    it; {!Runtime.run_phase} applies it again, so a record built by
+    [{ c with ... }] cannot skip it. *)
+
 val dpa : ?strip_size:int -> ?agg_max:int -> ?route:route -> unit -> t
 (** Full DPA. Defaults: strip 50 (the paper's headline setting), agg 64,
     route off. *)

@@ -3,6 +3,10 @@ open Dpa_heap
 
 type request = { token : int; ptr : Gptr.t }
 
+(* What an end-to-end retry timer watches ([arm_retry]): a read token
+   outstanding in M, or an update batch in its origin's custody. *)
+type guarded = Token of request | Batch of int
+
 (* Observability state, allocated once per node per phase and only when the
    engine carries a sink. Every hot-path hook below is a match on
    [ctx.obs]: with no sink attached nothing is allocated, no time is
@@ -79,7 +83,7 @@ type ctx = {
          that forward immediately. Volatile: under a fault plan every
          parked batch stays under its origin's end-to-end custody
          ([out_updates] + [relay_cover]), so a crash here only delays it —
-         the origin re-issues straight-line through the WAL path. *)
+         the origin re-issues it straight to the owner. *)
   relay_cover : (int, (int * int) list) Hashtbl.t;
       (* fault plans × routing: per final destination, the (origin, batch
          id) pairs whose batches are merged into the relay bucket — the
@@ -92,8 +96,9 @@ type ctx = {
          must flush through instead of parking *)
   mutable peers : ctx array;
       (* every ctx of the phase, indexed by node id — how a hop delivery
-         reaches the relay state of the receiving node. Set once by
-         [run_phase_labeled]; empty while routing is off. *)
+         reaches the relay state of the receiving node, and an owner's ack
+         the custody state of the origin. Set once by
+         [run_phase_labeled]. *)
   mutable pending : int;  (* threads suspended in M or queued in [ready] *)
   mutable scheduled : bool;
   mutable items : (ctx -> unit) array;
@@ -255,6 +260,23 @@ let close_handler_act ~name (owner : Node.t) = function
     obs_act o c ~id:sid ~parent:fid ~name ~seg:Dpa_obs.Causal.Compute owner
       ~ts:t0
       ~dur:(owner.Node.clock - t0)
+
+(* Causal marker for a retry-timer firing, then [send] under it. Timer
+   firings run outside any quantum: the marker keeps the re-issued flight's
+   chain grounded in this node's activity history instead of dangling. *)
+let retry_marked ctx ~marker ~name ~key k ~dst send =
+  match ctx.obs with
+  | None -> send ()
+  | Some o ->
+    let rid, cargs =
+      causal_marker o ctx.node ~name:marker ~seg:Dpa_obs.Causal.Retransmit
+        ~kind:Dpa_obs.Causal.Retry ~parent:o.last_act
+    in
+    obs_instant
+      ~args:
+        ((key, Dpa_obs.Sink.Int k) :: ("dst", Dpa_obs.Sink.Int dst) :: cargs)
+      o ctx.node ~name;
+    with_causal o rid send
 
 (* Every suspension counts toward the outstanding-thread peak: a thread is
    outstanding from the moment its spawn site runs until the scheduler
@@ -620,12 +642,7 @@ and deliver ctx reqs =
     obs_outstanding o ctx.node ctx.pending);
   ensure_scheduled ctx
 
-(* End-to-end request timeout wheel, the second defence layer above the
-   transport's per-message retransmission: if a token is still outstanding
-   in M when its deadline passes, re-issue it as a single-entry request and
-   back off. The transport alone already guarantees delivery, so firings
-   are rare (a deeply backlogged owner); a spurious firing only produces a
-   duplicate reply that [deliver] discards. *)
+(* Base timeout of the end-to-end retry timers ([arm_retry]). *)
 and rt_rto ctx ~bytes =
   let m = ctx.machine in
   let const =
@@ -645,47 +662,54 @@ and rt_rto ctx ~bytes =
   if m.Machine.adaptive_rto then Dpa_msg.Am.e2e_rto ctx.engine ~fallback:const
   else const
 
-and arm_request_timer ctx ~dst (req : request) ~rto =
+(* End-to-end retry timer, the second defence layer above the transport's
+   per-message retransmission, for both kinds of guarded work: if the read
+   token is still outstanding in M, or the update batch still in its
+   origin's custody, when the deadline passes, re-issue it — as a
+   single-entry request, or straight-line to the owner — and back off
+   (doubling, capped at 1024 base timeouts). The transport alone already
+   guarantees delivery, so firings are rare (a deeply backlogged owner, a
+   crash on a batch's tree path); a spurious firing only produces a
+   duplicate that [deliver] or the owner's journal discards.
+
+   The timer belongs to the incarnation that armed it: after a crash the
+   restart walk re-issues every surviving token and batch with fresh
+   timers, so a pre-crash timer firing on the new incarnation would only
+   double the wheel. It dies silently instead. *)
+and arm_retry ctx guarded ~rto =
   let deadline = ctx.node.Node.clock + rto in
-  (* The timer belongs to the incarnation that armed it: after a crash the
-     restart walk re-issues every surviving token with fresh timers, so a
-     pre-crash timer firing on the new incarnation would only double the
-     wheel. It dies silently instead. *)
   let incarnation = ctx.node.Node.incarnation in
   Engine.post_soft ctx.engine ~time:deadline ~node:(node_id ctx) (fun () ->
-      if ctx.node.Node.incarnation <> incarnation then ()
-      else
-      match Pointer_map.find_ptr ctx.map req.token with
-      | None -> ()  (* answered in time: pure no-op, clock untouched *)
-      | Some _ ->
+      let live =
+        match guarded with
+        | Token req -> Option.is_some (Pointer_map.find_ptr ctx.map req.token)
+        | Batch id -> Hashtbl.mem ctx.out_updates id
+      in
+      (* Answered or acked in time: a pure no-op, clock untouched. *)
+      if ctx.node.Node.incarnation = incarnation && live then begin
         Node.wait_until ctx.node deadline;
-        ctx.stats.Dpa_stats.rt_retries <- ctx.stats.Dpa_stats.rt_retries + 1;
-        let rid =
-          match ctx.obs with
-          | None -> -1
-          | Some o ->
-            Dpa_obs.Metrics.add o.c_retry 1;
-            (* Timer firings run outside any quantum: the marker keeps the
-               re-issued flight's chain grounded in this node's activity
-               history instead of dangling. *)
-            let rid, cargs =
-              causal_marker o ctx.node ~name:"rt_retry"
-                ~seg:Dpa_obs.Causal.Retransmit ~kind:Dpa_obs.Causal.Retry
-                ~parent:o.last_act
-            in
-            obs_instant
-              ~args:
-                (("token", Dpa_obs.Sink.Int req.token)
-                :: ("dst", Dpa_obs.Sink.Int dst)
-                :: cargs)
-              o ctx.node ~name:"retry";
-            rid
+        let bytes =
+          match guarded with
+          | Token req ->
+            let dst = Gptr.node req.ptr in
+            ctx.stats.Dpa_stats.rt_retries <-
+              ctx.stats.Dpa_stats.rt_retries + 1;
+            (match ctx.obs with
+            | None -> ()
+            | Some o -> Dpa_obs.Metrics.add o.c_retry 1);
+            retry_marked ctx ~marker:"rt_retry" ~name:"retry" ~key:"token"
+              req.token ~dst (fun () -> send_request_batch ctx ~dst [ req ]);
+            Dpa_msg.Am.request_bytes ctx.machine ~nreqs:1
+          | Batch id ->
+            let dst, batch = Hashtbl.find ctx.out_updates id in
+            ctx.stats.Dpa_stats.upd_reissues <-
+              ctx.stats.Dpa_stats.upd_reissues + 1;
+            retry_marked ctx ~marker:"upd_retry" ~name:"upd_retry" ~key:"id" id
+              ~dst (fun () -> send_straight ctx ~id ~dst batch);
+            Dpa_msg.Am.update_bytes ctx.machine ~nupdates:(List.length batch)
         in
-        (match ctx.obs with
-        | Some o -> with_causal o rid (fun () -> send_request_batch ctx ~dst [ req ])
-        | None -> send_request_batch ctx ~dst [ req ]);
-        let cap = 1024 * rt_rto ctx ~bytes:(Dpa_msg.Am.request_bytes ctx.machine ~nreqs:1) in
-        arm_request_timer ctx ~dst req ~rto:(min (2 * rto) cap))
+        arm_retry ctx guarded ~rto:(min (2 * rto) (1024 * rt_rto ctx ~bytes))
+      end)
 
 and flush_requests ctx ~dst batch =
   let nreqs = List.length batch in
@@ -711,7 +735,7 @@ and flush_requests ctx ~dst batch =
     let rto =
       rt_rto ctx ~bytes:(Dpa_msg.Am.request_bytes ctx.machine ~nreqs)
     in
-    List.iter (fun req -> arm_request_timer ctx ~dst req ~rto) batch
+    List.iter (fun req -> arm_retry ctx (Token req) ~rto) batch
 
 and send_request_batch ctx ~dst batch =
   let nreqs = List.length batch in
@@ -756,6 +780,8 @@ and send_request_batch ctx ~dst batch =
         (fun _self -> deliver ctx batch);
       close_handler_act ~name:"service" owner svc)
 
+(* A drained batch for a flat (unrouted) destination: one update message
+   straight to its owner, under a fault plan in its origin's custody. *)
 and flush_updates ctx ~dst batch =
   let n = List.length batch in
   ctx.stats.Dpa_stats.update_msgs <- ctx.stats.Dpa_stats.update_msgs + 1;
@@ -772,41 +798,106 @@ and flush_updates ctx ~dst batch =
           ("bytes", Dpa_obs.Sink.Int bytes);
         ]
       o ctx.node ~name:"upd_send");
-  if ctx.rel then begin
-    (* End-to-end exactly-once for accumulations. The transport's dedup is
-       per incarnation, so a crash on either end could double- or
-       zero-apply a batch: an owner crash forgets that a retransmitted
-       batch already ran, a sender crash destroys an undelivered envelope.
-       Each batch therefore gets a stable id, the owner journals applied
-       ids durably (one atomic action with the heap mutation, by
-       contract), re-sends are journal-deduplicated and re-acked, and the
-       sender's timer re-sends until the application-level ack clears the
-       batch from [out_updates]. *)
-    let id = ctx.upd_next_id in
-    ctx.upd_next_id <- id + 1;
-    (* Write-ahead: the Batch record is durable before the first copy hits
-       the wire, so a crash between here and the ack can always rebuild
-       the batch from the scanned WAL. *)
-    Wal.append ctx.wal (encode_batch ~id ~dst batch);
-    Hashtbl.replace ctx.out_updates id (dst, batch);
-    send_update_batch ctx ~dst ~id batch;
-    arm_update_timer ctx ~id ~rto:(rt_rto ctx ~bytes)
-  end
-  else begin
-    (match ctx.obs with
-    | None -> ()
-    | Some o -> o.opt_actual <- o.opt_actual + bytes);
-    Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst ~bytes (fun owner ->
-        let m = ctx.machine in
-        let svc = open_handler_act ctx owner in
-        Node.charge_comm owner (n * m.Machine.update_apply_ns);
-        let owner_heap = ctx.heaps.(dst) in
-        List.iter
-          (fun { Update_buffer.ptr; idx; value } ->
-            Heap.bump_float owner_heap ptr ~idx value)
-          batch;
-        close_handler_act ~name:"upd_apply" owner svc)
-  end
+  if ctx.rel then take_custody ctx ~dst ~hops:0 batch
+  else send_apply ctx ~dst ~bytes ~cover:[] batch
+
+(* End-to-end exactly-once for accumulations under a fault plan. The
+   transport's dedup is per incarnation, so a crash on either end could
+   double- or zero-apply a batch: an owner crash forgets that a
+   retransmitted batch already ran, a sender crash destroys an undelivered
+   envelope. The origin therefore keeps custody of every batch it drains
+   until the owner's application-level ack releases it: a stable id, a
+   write-ahead Batch record (durable before the first copy leaves, so a
+   crash before the ack can always rebuild the batch from the scanned
+   WAL), an [out_updates] entry, and a fenced retry timer. The first copy
+   goes straight to the owner ([hops = 0]) or enters the combining tree
+   under its cover [(origin, id)]; the timer budget scales with the
+   [hops] of the tree path, since a parked batch legitimately waits for
+   every hop on it to finish its own items. *)
+and take_custody ctx ~dst ~hops batch =
+  let id = ctx.upd_next_id in
+  ctx.upd_next_id <- id + 1;
+  Wal.append ctx.wal (encode_batch ~id ~dst batch);
+  Hashtbl.replace ctx.out_updates id (dst, batch);
+  if hops = 0 then send_straight ctx ~id ~dst batch
+  else relay_receive ctx ~fdst:dst ~cover:[ (node_id ctx, id) ] batch;
+  let bytes =
+    Dpa_msg.Am.update_bytes ctx.machine ~nupdates:(List.length batch)
+  in
+  arm_retry ctx (Batch id) ~rto:((hops + 1) * rt_rto ctx ~bytes)
+
+(* The straight-line copy of custody batch [id]: one message direct to its
+   owner, carrying no cover bytes, applied there as the one-pair cover
+   [(origin, id)]. A depth-0 batch's first copy and every re-issue — timer
+   firing, relay-wipe notify, restart walk — take this path. *)
+and send_straight ctx ~id ~dst batch =
+  send_apply ctx ~dst
+    ~bytes:(Dpa_msg.Am.update_bytes ctx.machine ~nupdates:(List.length batch))
+    ~cover:[ (node_id ctx, id) ]
+    batch
+
+(* One update message straight to its owner [dst], applied under [cover]. *)
+and send_apply ctx ~dst ~bytes ~cover batch =
+  (match ctx.obs with
+  | None -> ()
+  | Some o -> o.opt_actual <- o.opt_actual + bytes);
+  Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst ~bytes (fun owner ->
+      owner_apply ctx ~dst ~cover batch owner)
+
+(* Owner-side apply of one update message. [cover] names the (origin,
+   batch id) pairs whose custody the message carries: none fault-free, one
+   for a straight-line batch, every merged batch for a tree message.
+   Freshness is all-or-nothing: if every covered batch is fresh, journal
+   them all and apply the entries as one atomic action (the durable
+   Applied records are what survives the owner's crash), then ack each
+   origin. If ANY covered batch was already applied (a straight-line
+   replay beat the tree), the merged entries can be neither applied nor
+   split, so nothing applies, the already-journaled pairs are re-acked
+   (their previous acks may have been lost), and each fresh pair is left
+   to its origin's timer, whose straight-line re-issue is the one-pair
+   cover and therefore never partially duplicate. The fixed-point grids
+   make the recovered sum bit-identical either way. The apply cost is
+   charged whether or not the message is fresh: a journal hit still parses
+   it and probes the journal. *)
+and owner_apply ctx ~dst ~cover batch owner =
+  let m = ctx.machine in
+  let svc = open_handler_act ctx owner in
+  Node.charge_comm owner (List.length batch * m.Machine.update_apply_ns);
+  let journal = ctx.upd_journal.(dst) in
+  let applied key = Hashtbl.mem journal key in
+  let acked =
+    if List.exists applied cover then List.filter applied cover
+    else begin
+      List.iter
+        (fun ((src, id) as key) ->
+          Wal.append ctx.jwal.(dst) (encode_applied ~src ~id);
+          Hashtbl.replace journal key ())
+        cover;
+      let owner_heap = ctx.heaps.(dst) in
+      List.iter
+        (fun { Update_buffer.ptr; idx; value } ->
+          Heap.bump_float owner_heap ptr ~idx value)
+        batch;
+      cover
+    end
+  in
+  let ack = m.Machine.msg_header_bytes in
+  List.iter
+    (fun (src, id) ->
+      (match ctx.obs with
+      | None -> ()
+      | Some o -> o.opt_actual <- o.opt_actual + ack);
+      Dpa_msg.Am.send ctx.engine ~src:owner ~dst:src ~bytes:ack (fun _self ->
+          (* Acked is only journaled for a live batch: a duplicate ack
+             (journal-hit re-send, or one racing a crash rebuild) must not
+             write consecutive identical records. *)
+          let octx = ctx.peers.(src) in
+          if Hashtbl.mem octx.out_updates id then begin
+            Wal.append octx.wal (encode_acked ~id);
+            Hashtbl.remove octx.out_updates id
+          end))
+    acked;
+  close_handler_act ~name:"upd_apply" owner svc
 
 (* Finish-time routing flush. Once this node has run its last item, its
    held (routed) accumulations drain into the relay buffer — merging with
@@ -839,39 +930,50 @@ and relay_receive ctx ~fdst ~cover entries =
   Update_buffer.add_entries ctx.relay ~dst:fdst entries;
   if ctx.routing_done then Update_buffer.flush_if ctx.relay (fun d -> d = fdst)
 
-(* Forward one relay bucket toward its final destination: either hand it to
-   the flat update path (last hop — the WAL exactly-once protocol under a
-   fault plan) or send it one binomial-tree hop closer
-   ({!Dpa_msg.Route.next_hop}), where it parks in the hop's relay buffer.
-   Intermediate hops ride the transport's link-level reliability
-   (retransmit + dedup cover drop, dup and delay faults); crash faults are
-   covered end-to-end by the origins' custody — every batch merged into
-   this bucket stays in its origin's [out_updates] until the final owner's
-   application-level ack, so a hop crash only costs a straight-line
-   re-issue.
-
-   Fault-free, the bucket fragments to the aggregation bound like any flat
-   message. Under a fault plan it does not: the (cover, merged entries)
-   pair is one atomic custody unit — a fragment boundary through it would
-   let the owner journal a covered batch whose entries were split across
-   fragments, and a lost second fragment would then be unrecoverable. *)
+(* Forward one relay bucket toward its final destination. Fault-free it
+   fragments to the aggregation bound like any flat message. Under a fault
+   plan it does not: the (cover, merged entries) pair is one atomic
+   custody unit — a fragment boundary through it would let the owner
+   journal a covered batch whose entries were split across fragments, and
+   a lost second fragment would then be unrecoverable. *)
 and relay_forward ctx ~fdst batch =
-  let nnodes = Array.length ctx.heaps in
-  let hop = Dpa_msg.Route.next_hop ~nnodes ~src:(node_id ctx) ~dst:fdst in
   if ctx.rel then begin
     let cover =
-      match Hashtbl.find_opt ctx.relay_cover fdst with
-      | Some l -> l
-      | None -> []
+      Option.value ~default:[] (Hashtbl.find_opt ctx.relay_cover fdst)
     in
     Hashtbl.remove ctx.relay_cover fdst;
     assert (cover <> []);
-    let n = List.length batch in
+    relay_send ctx ~fdst ~cover batch
+  end
+  else
+    List.iter
+      (fun frag -> relay_send ctx ~fdst ~cover:[] frag)
+      (split_batch ctx.cfg.Config.agg_max batch)
+
+(* Send one relay fragment a binomial-tree hop closer to [fdst]
+   ({!Dpa_msg.Route.next_hop}), where it parks in the hop's relay buffer,
+   or apply it at [fdst] on the last hop. A fault-free last hop is an
+   ordinary flat message. The custody manifest rides the message: two ids
+   per covered batch. Intermediate hops ride the transport's link-level
+   reliability (retransmit + dedup cover drop, dup and delay faults);
+   crash faults are covered end to end by the origins' custody — every
+   batch merged into this fragment stays in its origin's [out_updates]
+   until the final owner's ack, so a hop crash only costs a straight-line
+   re-issue. Actual bytes are charged at every hop's sender; the lower
+   bound is recorded at the origin only ([accumulate]), so tree routing
+   can only close the gap when combining saves more than the extra hops
+   cost. *)
+and relay_send ctx ~fdst ~cover frag =
+  let hop =
+    Dpa_msg.Route.next_hop ~nnodes:(Array.length ctx.heaps) ~src:(node_id ctx)
+      ~dst:fdst
+  in
+  if hop = fdst && cover = [] then flush_updates ctx ~dst:fdst frag
+  else begin
+    let n = List.length frag in
     ctx.stats.Dpa_stats.update_msgs <- ctx.stats.Dpa_stats.update_msgs + 1;
-    (* The custody manifest rides the message: two ids per covered batch. *)
     let bytes =
-      Dpa_msg.Am.update_bytes ctx.machine ~nupdates:n
-      + (16 * List.length cover)
+      Dpa_msg.Am.update_bytes ctx.machine ~nupdates:n + (16 * List.length cover)
     in
     (match ctx.obs with
     | None -> ()
@@ -880,230 +982,22 @@ and relay_forward ctx ~fdst batch =
       o.opt_actual <- o.opt_actual + bytes;
       obs_instant
         ~args:
-          [
-            ("hop", Dpa_obs.Sink.Int hop);
-            ("fdst", Dpa_obs.Sink.Int fdst);
-            ("nupdates", Dpa_obs.Sink.Int n);
-            ("cover", Dpa_obs.Sink.Int (List.length cover));
-            ("bytes", Dpa_obs.Sink.Int bytes);
-          ]
+          (("hop", Dpa_obs.Sink.Int hop)
+          :: ("fdst", Dpa_obs.Sink.Int fdst)
+          :: ("nupdates", Dpa_obs.Sink.Int n)
+          :: ((if cover = [] then []
+               else [ ("cover", Dpa_obs.Sink.Int (List.length cover)) ])
+             @ [ ("bytes", Dpa_obs.Sink.Int bytes) ]))
         o ctx.node ~name:"relay_send");
-    if hop = fdst then
-      Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:fdst ~bytes (fun owner ->
-          routed_owner_apply ctx ~fdst ~cover batch owner)
-    else
-      Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:hop ~bytes (fun hopnode ->
-          let peer = ctx.peers.(hop) in
-          let svc = open_handler_act ctx hopnode in
-          Node.charge_comm hopnode (n * ctx.machine.Machine.update_apply_ns);
-          relay_receive peer ~fdst ~cover batch;
-          close_handler_act ~name:"relay" hopnode svc)
-  end
-  else
-    List.iter
-      (fun frag ->
-        if hop = fdst then flush_updates ctx ~dst:fdst frag
+    Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:hop ~bytes (fun node ->
+        if hop = fdst then owner_apply ctx ~dst:fdst ~cover frag node
         else begin
-          let n = List.length frag in
-          ctx.stats.Dpa_stats.update_msgs <-
-            ctx.stats.Dpa_stats.update_msgs + 1;
-          let bytes = Dpa_msg.Am.update_bytes ctx.machine ~nupdates:n in
-          (match ctx.obs with
-          | None -> ()
-          | Some o ->
-            Dpa_obs.Metrics.add o.c_vol.(hop) bytes;
-            (* Actual bytes are charged at every hop's sender; the lower
-               bound is recorded at the origin only ([accumulate]), so tree
-               routing can only close the gap when combining saves more
-               than the extra hops cost. *)
-            o.opt_actual <- o.opt_actual + bytes;
-            obs_instant
-              ~args:
-                [
-                  ("hop", Dpa_obs.Sink.Int hop);
-                  ("fdst", Dpa_obs.Sink.Int fdst);
-                  ("nupdates", Dpa_obs.Sink.Int n);
-                  ("bytes", Dpa_obs.Sink.Int bytes);
-                ]
-              o ctx.node ~name:"relay_send");
-          Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:hop ~bytes
-            (fun hopnode ->
-              let peer = ctx.peers.(hop) in
-              let svc = open_handler_act ctx hopnode in
-              Node.charge_comm hopnode
-                (n * ctx.machine.Machine.update_apply_ns);
-              relay_receive peer ~fdst ~cover:[] frag;
-              close_handler_act ~name:"relay" hopnode svc)
+          let svc = open_handler_act ctx node in
+          Node.charge_comm node (n * ctx.machine.Machine.update_apply_ns);
+          relay_receive ctx.peers.(hop) ~fdst ~cover frag;
+          close_handler_act ~name:"relay" node svc
         end)
-      (split_batch ctx.cfg.Config.agg_max batch)
-
-(* Origin custody for a routed batch under a fault plan. The batch gets the
-   same durable treatment as a flat one — stable id, write-ahead Batch
-   record, an [out_updates] entry the quiescence certificate watches, and
-   a fenced end-to-end timer — but its first copy enters the combining
-   tree instead of the wire to the owner. If the tree delivers, the final
-   owner journals the covered id and acks end-to-end; if any hop crashes
-   while holding it (or the ack never comes), the timer re-issues the
-   batch straight-line through [send_update_batch], where the owner's
-   applied-batch journal dedups it against any copy that survived the
-   tree. The timer budget is scaled by the tree depth: a parked batch
-   legitimately waits for every hop on its path to finish its own items. *)
-and routed_origin_send ctx ~fdst batch =
-  let id = ctx.upd_next_id in
-  ctx.upd_next_id <- id + 1;
-  Wal.append ctx.wal (encode_batch ~id ~dst:fdst batch);
-  Hashtbl.replace ctx.out_updates id (fdst, batch);
-  let nnodes = Array.length ctx.heaps in
-  let bytes =
-    Dpa_msg.Am.update_bytes ctx.machine ~nupdates:(List.length batch)
-  in
-  let depth =
-    Dpa_msg.Route.hops ~nnodes ~src:(node_id ctx) ~dst:fdst
-  in
-  arm_update_timer ctx ~id ~rto:((depth + 1) * rt_rto ctx ~bytes);
-  relay_receive ctx ~fdst ~cover:[ (node_id ctx, id) ] batch
-
-(* Final-owner apply of a tree-merged message. The cover names every
-   origin-anchored batch whose entries are numerically merged into
-   [batch], so freshness is all-or-nothing: if every covered batch is
-   fresh, journal them all and apply the merged entries as one atomic
-   action, then ack each origin; if ANY covered batch was already applied
-   (a straight-line replay beat the tree), the merged entries cannot be
-   applied — nor split — so nothing applies, the already-journaled pairs
-   are re-acked (their previous acks may have been lost), and each fresh
-   pair is left to its origin's timer, whose straight-line re-issue is
-   single-origin and therefore can never be partially duplicate. The
-   fixed-point grids make the recovered sum bit-identical either way. *)
-and routed_owner_apply ctx ~fdst ~cover batch owner =
-  let m = ctx.machine in
-  let svc = open_handler_act ctx owner in
-  let n = List.length batch in
-  Node.charge_comm owner (n * m.Machine.update_apply_ns);
-  let journal = ctx.upd_journal.(fdst) in
-  let dups, fresh =
-    List.partition (fun key -> Hashtbl.mem journal key) cover
-  in
-  let acked =
-    if dups = [] then begin
-      List.iter
-        (fun (src, id) ->
-          Wal.append ctx.jwal.(fdst) (encode_applied ~src ~id);
-          Hashtbl.replace journal (src, id) ())
-        fresh;
-      let owner_heap = ctx.heaps.(fdst) in
-      List.iter
-        (fun { Update_buffer.ptr; idx; value } ->
-          Heap.bump_float owner_heap ptr ~idx value)
-        batch;
-      fresh
-    end
-    else dups
-  in
-  let ack = m.Machine.msg_header_bytes in
-  List.iter
-    (fun (src, id) ->
-      (match ctx.obs with
-      | None -> ()
-      | Some o -> o.opt_actual <- o.opt_actual + ack);
-      Dpa_msg.Am.send ctx.engine ~src:owner ~dst:src ~bytes:ack (fun _self ->
-          let octx = ctx.peers.(src) in
-          if Hashtbl.mem octx.out_updates id then begin
-            Wal.append octx.wal (encode_acked ~id);
-            Hashtbl.remove octx.out_updates id
-          end))
-    acked;
-  close_handler_act ~name:"upd_apply" owner svc
-
-and send_update_batch ctx ~dst ~id batch =
-  let n = List.length batch in
-  let bytes = Dpa_msg.Am.update_bytes ctx.machine ~nupdates:n in
-  let src_id = node_id ctx in
-  (match ctx.obs with
-  | None -> ()
-  | Some o -> o.opt_actual <- o.opt_actual + bytes);
-  Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst ~bytes (fun owner ->
-      let m = ctx.machine in
-      let svc = open_handler_act ctx owner in
-      (* The apply cost is charged whether or not the batch is fresh: a
-         journal hit still parses the message and probes the journal. *)
-      Node.charge_comm owner (n * m.Machine.update_apply_ns);
-      let journal = ctx.upd_journal.(dst) in
-      let key = (src_id, id) in
-      if not (Hashtbl.mem journal key) then begin
-        (* Journal entry and heap mutation are one atomic action; the
-           durable Applied record is what survives the owner's crash. *)
-        Wal.append ctx.jwal.(dst) (encode_applied ~src:src_id ~id);
-        Hashtbl.replace journal key ();
-        let owner_heap = ctx.heaps.(dst) in
-        List.iter
-          (fun { Update_buffer.ptr; idx; value } ->
-            Heap.bump_float owner_heap ptr ~idx value)
-          batch
-      end;
-      (* Application-level ack, re-sent for journaled duplicates too: a
-         lost ack is repaired by the next timer-driven re-send. *)
-      let ack = m.Machine.msg_header_bytes in
-      (match ctx.obs with
-      | None -> ()
-      | Some o -> o.opt_actual <- o.opt_actual + ack);
-      Dpa_msg.Am.send ctx.engine ~src:owner ~dst:src_id ~bytes:ack
-        (fun _self ->
-          (* Acked is only journaled for a live batch: a duplicate ack
-             (journal-hit re-send, or one racing a crash rebuild) must not
-             write consecutive identical records. *)
-          if Hashtbl.mem ctx.out_updates id then begin
-            Wal.append ctx.wal (encode_acked ~id);
-            Hashtbl.remove ctx.out_updates id
-          end);
-      close_handler_act ~name:"upd_apply" owner svc)
-
-and arm_update_timer ctx ~id ~rto =
-  let deadline = ctx.node.Node.clock + rto in
-  (* Fenced to the arming incarnation, like request timers: after a sender
-     crash the restart walk rebuilds [out_updates] from the checksum-
-     scanned WAL and re-sends every surviving batch with fresh timers, so
-     a pre-crash timer firing on the new incarnation would only double the
-     wheel. (Before the WAL existed, [out_updates] itself was declared
-     durable and the unfenced timer was the re-drive mechanism.) *)
-  let incarnation = ctx.node.Node.incarnation in
-  Engine.post_soft ctx.engine ~time:deadline ~node:(node_id ctx) (fun () ->
-      if ctx.node.Node.incarnation <> incarnation then ()
-      else
-      match Hashtbl.find_opt ctx.out_updates id with
-      | None -> ()  (* acked in time: pure no-op, clock untouched *)
-      | Some (dst, batch) ->
-        Node.wait_until ctx.node deadline;
-        ctx.stats.Dpa_stats.upd_reissues <-
-          ctx.stats.Dpa_stats.upd_reissues + 1;
-        let rid =
-          match ctx.obs with
-          | None -> -1
-          | Some o ->
-            let rid, cargs =
-              causal_marker o ctx.node ~name:"upd_retry"
-                ~seg:Dpa_obs.Causal.Retransmit ~kind:Dpa_obs.Causal.Retry
-                ~parent:o.last_act
-            in
-            obs_instant
-              ~args:
-                (("id", Dpa_obs.Sink.Int id)
-                :: ("dst", Dpa_obs.Sink.Int dst)
-                :: cargs)
-              o ctx.node ~name:"upd_retry";
-            rid
-        in
-        (match ctx.obs with
-        | Some o ->
-          with_causal o rid (fun () -> send_update_batch ctx ~dst ~id batch)
-        | None -> send_update_batch ctx ~dst ~id batch);
-        let cap =
-          1024
-          * rt_rto ctx
-              ~bytes:
-                (Dpa_msg.Am.update_bytes ctx.machine
-                   ~nupdates:(List.length batch))
-        in
-        arm_update_timer ctx ~id ~rto:(min (2 * rto) cap))
+  end
 
 (* --- the access operations --------------------------------------------- *)
 
@@ -1291,13 +1185,16 @@ let make_ctx ~engine ~heaps ~config ~items ~label ~journals ~jwals node =
         (* Routed destinations drain into the relay buffer (merging with
            parked downstream contributions) instead of going to the wire;
            [finish_routing] then forwards the combined result. Under a
-           fault plan the batch first takes origin custody — WAL record,
-           [out_updates] entry, end-to-end timer — so a crash anywhere on
-           its tree path is recoverable. *)
-        if route_on ctx dst then
-          if ctx.rel then routed_origin_send ctx ~fdst:dst batch
-          else Update_buffer.add_entries ctx.relay ~dst batch
-        else flush_updates ctx ~dst batch)
+           fault plan the batch first takes origin custody, so a crash
+           anywhere on its tree path is recoverable. *)
+        if not (route_on ctx dst) then flush_updates ctx ~dst batch
+        else if ctx.rel then
+          take_custody ctx ~dst
+            ~hops:
+              (Dpa_msg.Route.hops ~nnodes:(Array.length heaps)
+                 ~src:node.Node.id ~dst)
+            batch
+        else relay_receive ctx ~fdst:dst ~cover:[] batch)
       ();
   ctx.relay <-
     Update_buffer.create
@@ -1353,37 +1250,35 @@ let crash_node ctx ~plan ~restart_at =
      copy survived the tree) — a stale firing is a pure no-op. Pairs this
      node originated itself are skipped too: its own restart walk re-sends
      everything in [out_updates]. *)
-  if Array.length ctx.peers > 0 then begin
-    let lost =
-      Hashtbl.fold
-        (fun _ cover acc -> List.rev_append cover acc)
-        ctx.relay_cover []
-    in
-    Hashtbl.reset ctx.relay_cover;
-    ctx.stats.Dpa_stats.relay_wiped <-
-      ctx.stats.Dpa_stats.relay_wiped + Update_buffer.clear ctx.relay;
-    let notify_at =
-      Engine.elapsed ctx.engine
-      + ctx.machine.Machine.wire_latency_ns
-      + ctx.machine.Machine.poll_quantum_ns
-    in
-    List.iter
-      (fun (src, id) ->
-        if src <> n.Node.id then begin
-          let octx = ctx.peers.(src) in
-          let inc = octx.node.Node.incarnation in
-          Engine.post_soft ctx.engine ~time:notify_at ~node:src (fun () ->
-              if octx.node.Node.incarnation = inc then
-                match Hashtbl.find_opt octx.out_updates id with
-                | None -> ()
-                | Some (dst, batch) ->
-                  Node.wait_until octx.node (max notify_at octx.down_until);
-                  octx.stats.Dpa_stats.routed_reissues <-
-                    octx.stats.Dpa_stats.routed_reissues + 1;
-                  send_update_batch octx ~dst ~id batch)
-        end)
-      (List.sort compare lost)
-  end;
+  let lost =
+    Hashtbl.fold
+      (fun _ cover acc -> List.rev_append cover acc)
+      ctx.relay_cover []
+  in
+  Hashtbl.reset ctx.relay_cover;
+  ctx.stats.Dpa_stats.relay_wiped <-
+    ctx.stats.Dpa_stats.relay_wiped + Update_buffer.clear ctx.relay;
+  let notify_at =
+    Engine.elapsed ctx.engine
+    + ctx.machine.Machine.wire_latency_ns
+    + ctx.machine.Machine.poll_quantum_ns
+  in
+  List.iter
+    (fun (src, id) ->
+      if src <> n.Node.id then begin
+        let octx = ctx.peers.(src) in
+        let inc = octx.node.Node.incarnation in
+        Engine.post_soft ctx.engine ~time:notify_at ~node:src (fun () ->
+            if octx.node.Node.incarnation = inc then
+              match Hashtbl.find_opt octx.out_updates id with
+              | None -> ()
+              | Some (dst, batch) ->
+                Node.wait_until octx.node (max notify_at octx.down_until);
+                octx.stats.Dpa_stats.routed_reissues <-
+                  octx.stats.Dpa_stats.routed_reissues + 1;
+                send_straight octx ~id ~dst batch)
+      end)
+    (List.sort compare lost);
   (* Torn writes: the crash may damage the tail of the victim's durable
      logs mid-write. [draw_tears] is empty (no stream access) when the
      knob is off, so legacy crash schedules replay unchanged. *)
@@ -1515,8 +1410,8 @@ let restart_node ctx ~restart_at =
       (fun (id, (dst, batch)) ->
         ctx.stats.Dpa_stats.upd_reissues <-
           ctx.stats.Dpa_stats.upd_reissues + 1;
-        send_update_batch ctx ~dst ~id batch;
-        arm_update_timer ctx ~id
+        send_straight ctx ~id ~dst batch;
+        arm_retry ctx (Batch id)
           ~rto:
             (rt_rto ctx
                ~bytes:
@@ -1559,19 +1454,14 @@ let post_crash_events ~engine ~plan ctxs =
 
 let run_phase_labeled ~label ~engine ~heaps ~config ~items =
   let nodes = Engine.nodes engine in
+  (* A config built by record update skips [Config.check]; this is the one
+     place every phase passes through. Only the node range needs the
+     engine. *)
+  ignore (Config.check config);
   (match config.Config.route with
-  | Config.Off -> ()
-  | (Config.All_dsts | Config.Hot _) as r ->
-    if not config.Config.reuse then
-      invalid_arg "Runtime.run_phase: route requires reuse";
-    (match r with
-    | Config.Hot dsts ->
-      List.iter
-        (fun d ->
-          if d >= Array.length nodes then
-            invalid_arg "Runtime.run_phase: Hot route destination out of range")
-        dsts
-    | _ -> ()));
+  | Config.Hot dsts when List.exists (fun d -> d >= Array.length nodes) dsts ->
+    invalid_arg "Runtime.run_phase: Hot route destination out of range"
+  | _ -> ());
   Engine.barrier engine;
   Array.iter Node.reset_breakdown nodes;
   let start = Engine.elapsed engine in
@@ -1586,8 +1476,7 @@ let run_phase_labeled ~label ~engine ~heaps ~config ~items =
           ~journals ~jwals node)
       nodes
   in
-  if config.Config.route <> Config.Off then
-    Array.iter (fun ctx -> ctx.peers <- ctxs) ctxs;
+  Array.iter (fun ctx -> ctx.peers <- ctxs) ctxs;
   (* Corruption drops attributed to this phase: the transport's per-node
      counters persist across phases, so snapshot at the start and diff at
      the end. Empty until the first reliable send instantiates the state. *)

@@ -79,15 +79,15 @@
     and every token still outstanding in [M] is pushed back through the
     normal aggregation/alignment path — the transparent re-fetch counted
     by [Dpa_stats.crash_refetches]. Update batches rebuilt from the
-    scanned WAL re-send off their own (deliberately unfenced) timers.
+    scanned WAL are re-sent with fresh incarnation-fenced retry timers.
 
     Tree-routed aggregation ({!Config.route}) survives crashes through
-    origin custody: under a fault plan every routed batch is journaled
-    at its origin and kept in its outstanding set until the {e final
-    owner}'s end-to-end ack releases it — relay hops are best-effort
-    combiners whose parked batches are volatile by design. A relay
-    crash wipes them ([Dpa_stats.relay_wiped]) and the covering origins
-    re-issue straight-line through the flat exactly-once path
+    the same origin custody: under a fault plan every batch, flat or
+    routed, is journaled at its origin and kept in its outstanding set
+    until the {e final owner}'s end-to-end ack releases it — relay hops
+    are best-effort combiners whose parked batches are volatile by
+    design. A relay crash wipes them ([Dpa_stats.relay_wiped]) and the
+    covering origins re-issue each batch straight to its owner
     ([Dpa_stats.routed_reissues]), deduped by the owner's journal; an
     origin's own end-to-end timer (RTO scaled by tree depth) is the
     fallback for lost acks or notifies.
@@ -112,6 +112,8 @@ val run_phase :
     time, local/comm/idle split) and merged runtime statistics.
 
     The engine's queue must be empty. The phase ends with a barrier.
+    Raises [Invalid_argument] if [config] fails {!Config.check} or a
+    [Hot] route names a node the engine does not have.
 
     Equivalent to {!run_phase_labeled} with label ["phase"]. *)
 

@@ -389,19 +389,36 @@ let test_routed_survives_crash_plans () =
   (* Flat mode under the same plan still runs (crash recovery owns it). *)
   ignore (run_fanin ~faults:crashy ~route:Dpa.Config.Off ())
 
+let rejects name msg f =
+  Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+
 let test_route_config_validation () =
-  (try
-     ignore (Dpa.Config.dpa ~route:(Dpa.Config.Hot []) ());
-     Alcotest.fail "expected empty Hot rejection"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Dpa.Config.dpa ~route:(Dpa.Config.Hot [ -1 ]) ());
-     Alcotest.fail "expected negative Hot rejection"
-   with Invalid_argument _ -> ());
-  try
-    ignore (run_fanin ~route:(Dpa.Config.Hot [ 99 ]) ());
-    Alcotest.fail "expected out-of-range Hot rejection"
-  with Invalid_argument _ -> ()
+  rejects "empty Hot" "Config: Hot route needs destinations" (fun () ->
+      Dpa.Config.dpa ~route:(Dpa.Config.Hot []) ());
+  rejects "negative Hot" "Config: Hot route destination < 0" (fun () ->
+      Dpa.Config.dpa ~route:(Dpa.Config.Hot [ -1 ]) ())
+
+let test_run_phase_validation () =
+  (* A record update skips the constructors' check; [run_phase] applies
+     it again before the phase starts. *)
+  let run config =
+    Dpa.Runtime.run_phase
+      ~engine:(Engine.create (machine 2))
+      ~heaps:(Heap.cluster ~nnodes:2) ~config
+      ~items:(fun _ -> [||])
+  in
+  rejects "route without reuse reaching run_phase"
+    "Config: route requires reuse" (fun () ->
+      run
+        {
+          (Dpa.Config.pipeline_aggregate ()) with
+          Dpa.Config.route = Dpa.Config.All_dsts;
+        });
+  rejects "empty Hot reaching run_phase" "Config: Hot route needs destinations"
+    (fun () -> run { (Dpa.Config.dpa ()) with Dpa.Config.route = Hot [] });
+  rejects "out-of-range Hot"
+    "Runtime.run_phase: Hot route destination out of range" (fun () ->
+      run_fanin ~route:(Dpa.Config.Hot [ 99 ]) ())
 
 (* --- parallel FMM upward pass ------------------------------------------- *)
 
@@ -511,6 +528,21 @@ let test_upward_routed_bit_identical () =
   Alcotest.(check bool) "routed M2M expansions bit-identical" true
     (flat = routed)
 
+let test_upward_rejects_empty_hot () =
+  (* [Fmm_upward.run ~route] overrides the config by record update; an
+     empty Hot list must not silently route nothing. *)
+  let tree, params = upward_setup ~nparticles:100 in
+  let global =
+    Dpa_fmm.Fmm_global.distribute_empty ~p:params.Dpa_fmm.Fmm_force.p tree
+      ~nnodes:2
+  in
+  rejects "empty Hot through the upward pass"
+    "Config: Hot route needs destinations" (fun () ->
+      Dpa_fmm.Fmm_upward.run ~route:(Dpa.Config.Hot [])
+        ~engine:(Engine.create (machine 2))
+        ~global ~params
+        (Dpa_baselines.Variant.dpa ()))
+
 let test_upward_combining_saves_messages () =
   let run variant =
     let _, _, (r : Dpa_fmm.Fmm_upward.result), _ = run_upward variant in
@@ -554,6 +586,8 @@ let suites =
           test_routed_survives_crash_plans;
         Alcotest.test_case "config validation" `Quick
           test_route_config_validation;
+        Alcotest.test_case "run_phase rejects invalid route configs" `Quick
+          test_run_phase_validation;
       ] );
     ( "core.accumulate",
       [
@@ -576,5 +610,7 @@ let suites =
           test_upward_combining_saves_messages;
         Alcotest.test_case "routed upward bit-identical" `Quick
           test_upward_routed_bit_identical;
+        Alcotest.test_case "upward pass rejects an empty Hot route" `Quick
+          test_upward_rejects_empty_hot;
       ] );
   ]
