@@ -2,7 +2,7 @@
 
 BENCH := bin/dpa_bench.exe
 
-.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke a15-run optimality-smoke route-crash-smoke scale-smoke bench-obs-overhead clean
+.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke a15-run optimality-smoke route-crash-smoke scale-smoke bench-obs-overhead bench-check clean
 
 all: build
 
@@ -174,6 +174,25 @@ scale-smoke: build
 # committed copy documents the overhead on the reference machine).
 bench-obs-overhead: build
 	dune exec bin/bench_obs_overhead.exe -- BENCH_obs_overhead.json
+
+# Benchmark health: every perfbench workload at seeds 1 and 101. A timed
+# run fails when it raises, misses its reference or does not repeat the
+# first run's result digest and deterministic figures (allocated words
+# included) exactly; the target fails on any such run, on an incorrect
+# result, or when run.py aborts without a result line.
+BENCH_CHECK_SEEDS := 1 101
+
+bench-check:
+	@for w in bh fmm upward_chaos bh_observed; do \
+	  for s in $(BENCH_CHECK_SEEDS); do \
+	    python3 perfbench/run.py --workload $$w --seed $$s --seconds 10 \
+	      --trace 0 | tee /tmp/dpa_bench_check.txt; \
+	    tail -n 1 /tmp/dpa_bench_check.txt | python3 -c 'import json, sys; \
+	      r = json.load(sys.stdin); sys.exit(not (r["correct"] and r["failed"] == 0))' \
+	      || { echo "bench-check: $$w seed $$s failed"; exit 1; }; \
+	  done; \
+	done; \
+	echo "bench-check: every workload correct, no failed runs, seeds $(BENCH_CHECK_SEEDS)"
 
 clean:
 	dune clean

@@ -25,9 +25,9 @@ let force_on_counting ?(theta = 1.0) ?(eps = 0.05) ?(use_quad = false) tree
   let px = b.Body.pos.Vec3.x
   and py = b.Body.pos.Vec3.y
   and pz = b.Body.pos.Vec3.z in
-  (* A float array, not three [float ref]s: a [float ref] is the generic
-     ref cell, so every [:=] allocates a fresh box; float-array stores are
-     unboxed. *)
+  (* A float array, not three [float ref]s: [visit] captures the
+     accumulator, and a captured [float ref] is a real ref cell whose
+     every [:=] boxes a float; float-array stores are unboxed. *)
   let acc = Array.make 3 0. in
   let visits = ref 0 and bc = ref 0 and bb = ref 0 in
   (* The monopole interaction is spelled out (twice) rather than shared

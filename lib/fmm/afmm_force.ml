@@ -6,6 +6,11 @@ module Make (A : Dpa.Access.S) = struct
     let tree = global.Afmm_global.tree in
     let parts = Aquadtree.particles tree in
     let p = global.Afmm_global.p in
+    let out = { Fmm_seq.potential; field } in
+    (* Scratch for this node's items, filled and consumed inside one read
+       callback (see {!Fmm_force}). *)
+    let mp = Expansion.zero ~p and local = Expansion.zero ~p in
+    let srcs = Array.make (4 * Aquadtree.max_occupancy tree) 0. in
     Array.map
       (fun leaf ->
         let mine =
@@ -25,35 +30,25 @@ module Make (A : Dpa.Access.S) = struct
             A.charge ctx
               (Fmm_force.m2l_cost_ns params
               + (Array.length mine * Fmm_force.eval_cost_ns params));
-            let local =
-              Expansion.m2l
-                (Afmm_global.View.expansion ~p heaps view)
-                ~from_center:(Afmm_global.View.center heaps view) ~to_center:lc
-            in
+            Afmm_global.View.expansion heaps view mp;
+            Expansion.m2l_into ~dst:local mp
+              ~from_center:(Afmm_global.View.center heaps view) ~to_center:lc;
             Array.iter
               (fun pid ->
-                let phi, dphi =
-                  Expansion.eval_local local ~center:lc parts.(pid).Particle2d.z
-                in
-                potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                field.(pid) <- Complex.add field.(pid) dphi)
+                Fmm_seq.add out pid
+                  (Expansion.eval_local local ~center:lc
+                     parts.(pid).Particle2d.z))
               mine
           end
           else if Afmm_global.View.is_leaf heaps view then begin
             let nsrc = Afmm_global.View.nparticles ~p heaps view in
             A.charge ctx (Array.length mine * nsrc * params.Fmm_force.p2p_ns);
-            let srcs =
-              List.init nsrc (fun k ->
-                  let _, q, z = Afmm_global.View.particle ~p heaps view k in
-                  (q, z))
-            in
+            Afmm_global.View.particles ~p heaps view srcs;
             Array.iter
               (fun pid ->
-                let phi, dphi =
-                  Expansion.direct srcs parts.(pid).Particle2d.z
-                in
-                potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                field.(pid) <- Complex.add field.(pid) dphi)
+                Fmm_seq.add out pid
+                  (Expansion.direct_packed srcs ~n:nsrc
+                     parts.(pid).Particle2d.z))
               mine
           end
           else
@@ -73,37 +68,12 @@ module F_caching = Make (Dpa_baselines.Caching)
 let force_phase ~engine ~global ~params variant =
   let n = Array.length (Aquadtree.particles global.Afmm_global.tree) in
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
-  let heaps = global.Afmm_global.heaps in
-  let breakdown, stats =
-    match variant with
-    | Dpa_baselines.Variant.Dpa config ->
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"afmm-force" ~engine ~heaps
-          ~config
-          ~items:(F_dpa.items ~params ~global ~potential ~field)
-      in
-      (b, Some s)
-    | Dpa_baselines.Variant.Prefetch { strip_size } ->
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"afmm-force-prefetch" ~engine
-          ~heaps
-          ~config:(Dpa.Config.pipeline_only ~strip_size ())
-          ~items:(F_dpa.items ~params ~global ~potential ~field)
-      in
-      (b, Some s)
-    | Dpa_baselines.Variant.Caching { capacity } ->
-      let b, _ =
-        Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity
-          ~items:(F_caching.items ~params ~global ~potential ~field)
-          ()
-      in
-      (b, None)
-    | Dpa_baselines.Variant.Blocking ->
-      let b, _ =
-        Dpa_baselines.Blocking.run_phase ~engine ~heaps
-          ~items:(F_caching.items ~params ~global ~potential ~field)
-      in
-      (b, None)
+  let breakdown, stats, _ =
+    Dpa_baselines.Variant.run_phase ~label:"afmm-force" ~engine
+      ~heaps:global.Afmm_global.heaps
+      ~dpa:(F_dpa.items ~params ~global ~potential ~field)
+      ~caching:(F_caching.items ~params ~global ~potential ~field)
+      variant
   in
   (breakdown, { Fmm_seq.potential; field }, stats)
 

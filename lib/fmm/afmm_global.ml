@@ -49,24 +49,14 @@ let distribute ~p tree ~nnodes =
         else leaf_rank_owner.(first_leaf_rank.(ci))
       in
       let c = Aquadtree.center tree ci in
-      let e = mp.(ci) in
       let head = 4 + (2 * (p + 1)) in
       let floats, ptrs =
         match Aquadtree.kind tree ci with
         | Aquadtree.Leaf ids ->
-          let n = Array.length ids in
-          let fl = Array.make (head + 1 + (4 * n)) 0. in
+          let fl = Array.make (head + 1 + (4 * Array.length ids)) 0. in
           fl.(0) <- kind_leaf;
-          fl.(head) <- float_of_int n;
-          Array.iteri
-            (fun k pid ->
-              let pt = parts.(pid) in
-              let base = head + 1 + (4 * k) in
-              fl.(base) <- float_of_int pid;
-              fl.(base + 1) <- pt.Particle2d.q;
-              fl.(base + 2) <- pt.Particle2d.z.Complex.re;
-              fl.(base + 3) <- pt.Particle2d.z.Complex.im)
-            ids;
+          fl.(head) <- float_of_int (Array.length ids);
+          Particle2d.pack parts ids fl ~pos:(head + 1);
           (fl, [||])
         | Aquadtree.Internal children ->
           let fl = Array.make head 0. in
@@ -79,11 +69,7 @@ let distribute ~p tree ~nnodes =
       floats.(1) <- c.Complex.re;
       floats.(2) <- c.Complex.im;
       floats.(3) <- Aquadtree.width tree ci;
-      Array.iteri
-        (fun i z ->
-          floats.(4 + (2 * i)) <- z.Complex.re;
-          floats.(4 + (2 * i) + 1) <- z.Complex.im)
-        e;
+      Array.blit mp.(ci) 0 floats 4 (2 * (p + 1));
       cell_ptrs.(ci) <- Heap.alloc heaps.(owner) ~floats ~ptrs);
   {
     heaps;
@@ -102,26 +88,18 @@ module View = struct
 
   let width h (v : Heap.view) = Heap.view_float h v 3
 
-  let expansion ~p h (v : Heap.view) =
-    Array.init (p + 1) (fun i ->
-        {
-          Complex.re = Heap.view_float h v (4 + (2 * i));
-          im = Heap.view_float h v (4 + (2 * i) + 1);
-        })
+  let expansion h (v : Heap.view) dst =
+    Heap.view_floats_into h v ~pos:4 ~len:(Array.length dst) dst
 
   let head ~p = 4 + (2 * (p + 1))
 
   let nparticles ~p h (v : Heap.view) =
     int_of_float (Heap.view_float h v (head ~p))
 
-  let particle ~p h (v : Heap.view) k =
-    let base = head ~p + 1 + (4 * k) in
-    ( int_of_float (Heap.view_float h v base),
-      Heap.view_float h v (base + 1),
-      {
-        Complex.re = Heap.view_float h v (base + 2);
-        im = Heap.view_float h v (base + 3);
-      } )
+  let particles ~p h (v : Heap.view) dst =
+    Heap.view_floats_into h v ~pos:(head ~p + 1)
+      ~len:(4 * nparticles ~p h v)
+      dst
 
   let children h (v : Heap.view) =
     Array.init (Heap.view_nptrs h v) (fun i -> Heap.view_ptr h v i)

@@ -28,9 +28,15 @@ module View : sig
   val is_leaf : Heap.cluster -> Heap.view -> bool
   val center : Heap.cluster -> Heap.view -> Complex.t
   val width : Heap.cluster -> Heap.view -> float
-  val expansion : p:int -> Heap.cluster -> Heap.view -> Expansion.t
+  val expansion : Heap.cluster -> Heap.view -> Expansion.t -> unit
+  (** Copy the cell's multipole into a caller-owned expansion of order [p]. *)
+
   val nparticles : p:int -> Heap.cluster -> Heap.view -> int
-  val particle : p:int -> Heap.cluster -> Heap.view -> int -> int * float * Complex.t
+
+  val particles : p:int -> Heap.cluster -> Heap.view -> float array -> unit
+  (** Copy a leaf's particles, packed as for {!Expansion.direct_packed},
+      into a caller-owned buffer of at least [4 * nparticles] floats. *)
+
   val children : Heap.cluster -> Heap.view -> Gptr.t array
 
   val well_separated :

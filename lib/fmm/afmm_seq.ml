@@ -1,19 +1,14 @@
 type counts = { m2l : int; p2p : int; visits : int }
 
-let zero_counts = { m2l = 0; p2p = 0; visits = 0 }
-
 let upward ~p tree =
   let parts = Aquadtree.particles tree in
   let mp = Array.make (Aquadtree.ncells tree) [||] in
   Aquadtree.iter_cells_postorder tree (fun ci ->
       match Aquadtree.kind tree ci with
       | Aquadtree.Leaf ids ->
-        let charges =
-          Array.to_list ids
-          |> List.map (fun pid ->
-                 (parts.(pid).Particle2d.q, parts.(pid).Particle2d.z))
-        in
-        mp.(ci) <- Expansion.p2m ~p ~center:(Aquadtree.center tree ci) charges
+        mp.(ci) <-
+          Expansion.p2m_particles ~p ~center:(Aquadtree.center tree ci) parts
+            ids
       | Aquadtree.Internal children ->
         let acc = Expansion.zero ~p in
         Array.iter
@@ -31,8 +26,12 @@ let compute ~p tree =
   let parts = Aquadtree.particles tree in
   let n = Array.length parts in
   let mp = upward ~p tree in
-  let potential = Array.make n 0. and field = Array.make n Complex.zero in
+  let out =
+    { Fmm_seq.potential = Array.make n 0.; field = Array.make n Complex.zero }
+  in
   let m2l = ref 0 and p2p = ref 0 and visits = ref 0 in
+  let local = Expansion.zero ~p in
+  let srcs = Array.make (4 * Aquadtree.max_occupancy tree) 0. in
   Array.iter
     (fun leaf ->
       match Aquadtree.kind tree leaf with
@@ -43,36 +42,26 @@ let compute ~p tree =
           incr visits;
           if Aquadtree.well_separated tree ~leaf ci then begin
             incr m2l;
-            let local =
-              Expansion.m2l mp.(ci)
-                ~from_center:(Aquadtree.center tree ci)
-                ~to_center:lc
-            in
+            Expansion.m2l_into ~dst:local mp.(ci)
+              ~from_center:(Aquadtree.center tree ci)
+              ~to_center:lc;
             Array.iter
               (fun pid ->
-                let phi, dphi =
-                  Expansion.eval_local local ~center:lc parts.(pid).Particle2d.z
-                in
-                potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                field.(pid) <- Complex.add field.(pid) dphi)
+                Fmm_seq.add out pid
+                  (Expansion.eval_local local ~center:lc
+                     parts.(pid).Particle2d.z))
               mine
           end
           else
             match Aquadtree.kind tree ci with
             | Aquadtree.Leaf ids ->
-              let srcs =
-                Array.to_list ids
-                |> List.map (fun pid ->
-                       (parts.(pid).Particle2d.q, parts.(pid).Particle2d.z))
-              in
+              Particle2d.pack parts ids srcs ~pos:0;
               p2p := !p2p + (Array.length ids * Array.length mine);
               Array.iter
                 (fun pid ->
-                  let phi, dphi =
-                    Expansion.direct srcs parts.(pid).Particle2d.z
-                  in
-                  potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                  field.(pid) <- Complex.add field.(pid) dphi)
+                  Fmm_seq.add out pid
+                    (Expansion.direct_packed srcs ~n:(Array.length ids)
+                       parts.(pid).Particle2d.z))
                 mine
             | Aquadtree.Internal children ->
               Array.iter (fun ch -> if ch >= 0 then walk ch) children
@@ -80,7 +69,7 @@ let compute ~p tree =
         walk (Aquadtree.root tree)
       | Aquadtree.Leaf _ -> ())
     (Aquadtree.leaves_in_dfs_order tree);
-  ({ Fmm_seq.potential; field }, { m2l = !m2l; p2p = !p2p; visits = !visits })
+  (out, { m2l = !m2l; p2p = !p2p; visits = !visits })
 
 let sequential_ns ~(params : Fmm_force.params) ~nleafavg c =
   (c.m2l

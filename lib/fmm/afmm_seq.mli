@@ -14,7 +14,6 @@ val upward : p:int -> Aquadtree.t -> Expansion.t array
 
 val compute : p:int -> Aquadtree.t -> Fmm_seq.result * counts
 
-val zero_counts : counts
 val sequential_ns : params:Fmm_force.params -> nleafavg:float -> counts -> int
 (** Modelled sequential time; [nleafavg] is the mean particles per leaf
     (evaluation cost of an M2L is per particle). *)

@@ -96,6 +96,13 @@ let kind t i =
 
 let nparticles t i = (Dynarray.get t.cells i).count
 
+let max_occupancy t =
+  let m = ref 0 in
+  Dynarray.iter
+    (fun c -> match c.node with L _ -> m := max !m c.count | I _ -> ())
+    t.cells;
+  !m
+
 let depth t =
   let rec go ci =
     match (Dynarray.get t.cells ci).node with

@@ -21,6 +21,9 @@ val kind : t -> int -> kind
 val nparticles : t -> int -> int
 (** Particles in the subtree. *)
 
+val max_occupancy : t -> int
+(** Most particles in any leaf. *)
+
 val depth : t -> int
 val leaves_in_dfs_order : t -> int array
 val iter_cells_postorder : t -> (int -> unit) -> unit

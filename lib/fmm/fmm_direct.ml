@@ -1,13 +1,11 @@
 let compute parts =
   let n = Array.length parts in
-  let charges =
-    Array.to_list
-      (Array.map (fun p -> (p.Particle2d.q, p.Particle2d.z)) parts)
-  in
+  let srcs = Array.make (4 * n) 0. in
+  Particle2d.pack parts (Array.init n Fun.id) srcs ~pos:0;
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
   Array.iter
     (fun p ->
-      let phi, dphi = Expansion.direct charges p.Particle2d.z in
+      let phi, dphi = Expansion.direct_packed srcs ~n p.Particle2d.z in
       potential.(p.Particle2d.id) <- phi.Complex.re;
       field.(p.Particle2d.id) <- dphi)
     parts;

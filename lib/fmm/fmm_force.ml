@@ -17,6 +17,13 @@ module Make (A : Dpa.Access.S) = struct
     let tree = global.Fmm_global.tree in
     let parts = Quadtree.particles tree in
     let depth = Quadtree.depth tree in
+    let out = { Fmm_seq.potential; field } in
+    (* Scratch for this node's items. A read callback fills and consumes it
+       without calling back into the runtime, so items never share it
+       mid-use. *)
+    let mp = Expansion.zero ~p:global.Fmm_global.p in
+    let local = Expansion.zero ~p:global.Fmm_global.p in
+    let srcs = Array.make (4 * Quadtree.max_occupancy tree) 0. in
     Array.map
       (fun leaf ->
         let mine = Quadtree.leaf_particles tree leaf in
@@ -32,19 +39,14 @@ module Make (A : Dpa.Access.S) = struct
                       A.charge ctx
                         (params.visit_ns + m2l_cost_ns params
                         + (Array.length mine * eval_cost_ns params));
-                      let local =
-                        Expansion.m2l
-                          (Fmm_global.View.expansion (A.heaps ctx) view)
-                          ~from_center:vc ~to_center:lc
-                      in
+                      Fmm_global.View.expansion (A.heaps ctx) view mp;
+                      Expansion.m2l_into ~dst:local mp ~from_center:vc
+                        ~to_center:lc;
                       Array.iter
                         (fun pid ->
-                          let phi, dphi =
-                            Expansion.eval_local local ~center:lc
-                              parts.(pid).Particle2d.z
-                          in
-                          potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                          field.(pid) <- Complex.add field.(pid) dphi)
+                          Fmm_seq.add out pid
+                            (Expansion.eval_local local ~center:lc
+                               parts.(pid).Particle2d.z))
                         mine))
                 (Quadtree.v_list tree a)
             done;
@@ -56,18 +58,12 @@ module Make (A : Dpa.Access.S) = struct
                     A.charge ctx
                       (params.visit_ns
                       + (Array.length mine * nsrc * params.p2p_ns));
-                    let srcs =
-                      List.init nsrc (fun k ->
-                          let _, q, z = Fmm_global.View.particle heaps view k in
-                          (q, z))
-                    in
+                    Fmm_global.View.particles heaps view srcs;
                     Array.iter
                       (fun pid ->
-                        let phi, dphi =
-                          Expansion.direct srcs parts.(pid).Particle2d.z
-                        in
-                        potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                        field.(pid) <- Complex.add field.(pid) dphi)
+                        Fmm_seq.add out pid
+                          (Expansion.direct_packed srcs ~n:nsrc
+                             parts.(pid).Particle2d.z))
                       mine))
               (Quadtree.u_list tree leaf)
           end)

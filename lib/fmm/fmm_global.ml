@@ -22,12 +22,6 @@ let owner_of_cell tree ~nnodes ci =
   let rank = Quadtree.morton ~ix ~iy lsl (2 * (d - l)) in
   Distribution.block_owner ~nitems:(1 lsl (2 * d)) ~nnodes rank
 
-let expansion_floats e =
-  let n = Array.length e in
-  Array.init (2 * n) (fun i ->
-      let c = e.(i / 2) in
-      if i land 1 = 0 then c.Complex.re else c.Complex.im)
-
 let distribute_with ~p ~mp tree ~nnodes =
   let parts = Quadtree.particles tree in
   let heaps = Heap.cluster ~nnodes in
@@ -38,21 +32,12 @@ let distribute_with ~p ~mp tree ~nnodes =
     if Quadtree.level_of tree ci >= 2 then begin
       let owner = owner_of_cell tree ~nnodes ci in
       mp_ptrs.(ci) <-
-        Heap.alloc heaps.(owner) ~floats:(expansion_floats (mp ci)) ~ptrs:[||];
+        Heap.alloc heaps.(owner) ~floats:mp.(ci) ~ptrs:[||];
       if Quadtree.is_leaf tree ci then begin
         let ids = Quadtree.leaf_particles tree ci in
-        let n = Array.length ids in
-        let floats = Array.make (1 + (4 * n)) 0. in
-        floats.(0) <- float_of_int n;
-        Array.iteri
-          (fun k pid ->
-            let pt = parts.(pid) in
-            let base = 1 + (4 * k) in
-            floats.(base) <- float_of_int pid;
-            floats.(base + 1) <- pt.Particle2d.q;
-            floats.(base + 2) <- pt.Particle2d.z.Complex.re;
-            floats.(base + 3) <- pt.Particle2d.z.Complex.im)
-          ids;
+        let floats = Array.make (1 + (4 * Array.length ids)) 0. in
+        floats.(0) <- float_of_int (Array.length ids);
+        Particle2d.pack parts ids floats ~pos:1;
         leaf_ptrs.(ci) <- Heap.alloc heaps.(owner) ~floats ~ptrs:[||]
       end
     end
@@ -74,30 +59,19 @@ let distribute_with ~p ~mp tree ~nnodes =
   }
 
 let distribute ~p tree ~nnodes =
-  let mp = Fmm_seq.upward ~p tree in
-  distribute_with ~p ~mp:(fun ci -> mp.(ci)) tree ~nnodes
+  distribute_with ~p ~mp:(Fmm_seq.upward ~p tree) tree ~nnodes
 
+(* One zero expansion serves every cell: [Heap.alloc] copies it. *)
 let distribute_empty ~p tree ~nnodes =
-  let zero = Expansion.zero ~p in
-  distribute_with ~p ~mp:(fun _ -> zero) tree ~nnodes
+  let mp = Array.make (Quadtree.ncells tree) (Expansion.zero ~p) in
+  distribute_with ~p ~mp tree ~nnodes
 
 module View = struct
-  let expansion h (v : Heap.view) =
-    let n = Heap.view_nfloats h v / 2 in
-    Array.init n (fun i ->
-        {
-          Complex.re = Heap.view_float h v (2 * i);
-          im = Heap.view_float h v ((2 * i) + 1);
-        })
+  let expansion h (v : Heap.view) dst =
+    Heap.view_floats_into h v ~pos:0 ~len:(Array.length dst) dst
 
   let nparticles h (v : Heap.view) = int_of_float (Heap.view_float h v 0)
 
-  let particle h (v : Heap.view) k =
-    let base = 1 + (4 * k) in
-    ( int_of_float (Heap.view_float h v base),
-      Heap.view_float h v (base + 1),
-      {
-        Complex.re = Heap.view_float h v (base + 2);
-        im = Heap.view_float h v (base + 3);
-      } )
+  let particles h (v : Heap.view) dst =
+    Heap.view_floats_into h v ~pos:1 ~len:(4 * nparticles h v) dst
 end

@@ -4,7 +4,7 @@
     the particles of its leaves. Every cell of level >= 2 contributes one
     multipole object (2(p+1) floats, re/im interleaved) owned by the owner
     of its first descendant leaf; every leaf additionally contributes a
-    particle-list object ([n; then id,x,y,q per particle]) for near-field
+    particle-list object ([n; then id,q,x,y per particle]) for near-field
     interactions. *)
 
 open Dpa_heap
@@ -27,8 +27,12 @@ val distribute_empty : p:int -> Quadtree.t -> nnodes:int -> t
     zero-filled: the upward pass ({!Fmm_upward}) builds them in parallel. *)
 
 module View : sig
-  val expansion : Heap.cluster -> Heap.view -> Expansion.t
+  val expansion : Heap.cluster -> Heap.view -> Expansion.t -> unit
+  (** Copy a multipole object into a caller-owned expansion of its order. *)
+
   val nparticles : Heap.cluster -> Heap.view -> int
-  val particle : Heap.cluster -> Heap.view -> int -> int * float * Complex.t
-  (** [(id, q, z)] of the k-th inline particle. *)
+
+  val particles : Heap.cluster -> Heap.view -> float array -> unit
+  (** Copy the leaf's particles, packed as for {!Expansion.direct_packed},
+      into a caller-owned buffer of at least [4 * nparticles] floats. *)
 end

@@ -13,35 +13,12 @@ module Force_caching = Fmm_force.Make (Dpa_baselines.Caching)
 let force_phase ~engine ~global ~params variant =
   let n = Array.length (Quadtree.particles global.Fmm_global.tree) in
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
-  let heaps = global.Fmm_global.heaps in
   let breakdown, dpa_stats, cache_stats =
-    match variant with
-    | Dpa_baselines.Variant.Dpa config ->
-      let items = Force_dpa.items ~params ~global ~potential ~field in
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-force" ~engine ~heaps ~config
-          ~items
-      in
-      (b, Some s, None)
-    | Dpa_baselines.Variant.Prefetch { strip_size } ->
-      let items = Force_dpa.items ~params ~global ~potential ~field in
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-force-prefetch" ~engine
-          ~heaps
-          ~config:(Dpa.Config.pipeline_only ~strip_size ())
-          ~items
-      in
-      (b, Some s, None)
-    | Dpa_baselines.Variant.Caching { capacity } ->
-      let items = Force_caching.items ~params ~global ~potential ~field in
-      let b, s =
-        Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity ~items ()
-      in
-      (b, None, Some s)
-    | Dpa_baselines.Variant.Blocking ->
-      let items = Force_caching.items ~params ~global ~potential ~field in
-      let b, s = Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items in
-      (b, None, Some s)
+    Dpa_baselines.Variant.run_phase ~label:"fmm-force" ~engine
+      ~heaps:global.Fmm_global.heaps
+      ~dpa:(Force_dpa.items ~params ~global ~potential ~field)
+      ~caching:(Force_caching.items ~params ~global ~potential ~field)
+      variant
   in
   { breakdown; result = { Fmm_seq.potential; field }; dpa_stats; cache_stats }
 
@@ -53,7 +30,7 @@ type run_result = {
 
 let structural_counts tree =
   let depth = Quadtree.depth tree in
-  let counts = ref Fmm_seq.zero_counts in
+  let m2l = ref 0 and p2p = ref 0 and evals = ref 0 in
   Array.iter
     (fun leaf ->
       let mine = Array.length (Quadtree.leaf_particles tree leaf) in
@@ -61,22 +38,17 @@ let structural_counts tree =
         for level = 2 to depth do
           let a = Quadtree.ancestor tree leaf ~level in
           let nv = Array.length (Quadtree.v_list tree a) in
-          counts :=
-            {
-              !counts with
-              Fmm_seq.m2l = !counts.Fmm_seq.m2l + nv;
-              evals = !counts.Fmm_seq.evals + (nv * mine);
-            }
+          m2l := !m2l + nv;
+          evals := !evals + (nv * mine)
         done;
         Array.iter
           (fun u ->
             let nsrc = Array.length (Quadtree.leaf_particles tree u) in
-            counts :=
-              { !counts with Fmm_seq.p2p = !counts.Fmm_seq.p2p + (mine * nsrc) })
+            p2p := !p2p + (mine * nsrc))
           (Quadtree.u_list tree leaf)
       end)
     (Quadtree.leaves_in_morton_order tree);
-  !counts
+  { Fmm_seq.m2l = !m2l; p2p = !p2p; evals = !evals }
 
 let sequential_ns ~(params : Fmm_force.params) (c : Fmm_seq.counts) =
   (c.Fmm_seq.m2l * (Fmm_force.m2l_cost_ns params + params.Fmm_force.visit_ns))

@@ -1,25 +1,22 @@
 type result = { potential : float array; field : Complex.t array }
 type counts = { m2l : int; p2p : int; evals : int }
 
-let zero_counts = { m2l = 0; p2p = 0; evals = 0 }
-
-let add_counts a b =
-  { m2l = a.m2l + b.m2l; p2p = a.p2p + b.p2p; evals = a.evals + b.evals }
+let add r pid ((phi : Complex.t), dphi) =
+  r.potential.(pid) <- r.potential.(pid) +. phi.re;
+  r.field.(pid) <- Complex.add r.field.(pid) dphi
 
 let upward ~p tree =
   let parts = Quadtree.particles tree in
   let n = Quadtree.ncells tree in
-  let mp = Array.make n [||] in
+  (* Levels 0 and 1 are never consulted: they share one zero expansion. *)
+  let mp = Array.make n (Expansion.zero ~p) in
   let depth = Quadtree.depth tree in
   (* P2M at the leaves. *)
   Array.iter
     (fun leaf ->
-      let charges =
-        Array.to_list (Quadtree.leaf_particles tree leaf)
-        |> List.map (fun pid ->
-               (parts.(pid).Particle2d.q, parts.(pid).Particle2d.z))
-      in
-      mp.(leaf) <- Expansion.p2m ~p ~center:(Quadtree.center tree leaf) charges)
+      mp.(leaf) <-
+        Expansion.p2m_particles ~p ~center:(Quadtree.center tree leaf) parts
+          (Quadtree.leaf_particles tree leaf))
     (Quadtree.leaves_in_morton_order tree);
   (* M2M up to level 2. *)
   for level = depth - 1 downto 2 do
@@ -44,18 +41,18 @@ let upward ~p tree =
       done
     done
   done;
-  (* Levels 0 and 1 are never consulted; keep them as zero expansions. *)
-  for i = 0 to n - 1 do
-    if Array.length mp.(i) = 0 then mp.(i) <- Expansion.zero ~p
-  done;
   mp
 
 let compute ~p tree =
   let parts = Quadtree.particles tree in
   let n = Array.length parts in
   let mp = upward ~p tree in
-  let potential = Array.make n 0. and field = Array.make n Complex.zero in
-  let counts = ref zero_counts in
+  let out =
+    { potential = Array.make n 0.; field = Array.make n Complex.zero }
+  in
+  let m2l = ref 0 and p2p = ref 0 and evals = ref 0 in
+  let local = Expansion.zero ~p in
+  let srcs = Array.make (4 * Quadtree.max_occupancy tree) 0. in
   let depth = Quadtree.depth tree in
   Array.iter
     (fun leaf ->
@@ -68,21 +65,16 @@ let compute ~p tree =
           let a = Quadtree.ancestor tree leaf ~level in
           Array.iter
             (fun v ->
-              let local =
-                Expansion.m2l mp.(v)
-                  ~from_center:(Quadtree.center tree v)
-                  ~to_center:lc
-              in
-              counts := { !counts with m2l = !counts.m2l + 1 };
+              Expansion.m2l_into ~dst:local mp.(v)
+                ~from_center:(Quadtree.center tree v)
+                ~to_center:lc;
+              incr m2l;
+              evals := !evals + Array.length mine;
               Array.iter
                 (fun pid ->
-                  let phi, dphi =
-                    Expansion.eval_local local ~center:lc
-                      parts.(pid).Particle2d.z
-                  in
-                  counts := { !counts with evals = !counts.evals + 1 };
-                  potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                  field.(pid) <- Complex.add field.(pid) dphi)
+                  add out pid
+                    (Expansion.eval_local local ~center:lc
+                       parts.(pid).Particle2d.z))
                 mine)
             (Quadtree.v_list tree a)
         done;
@@ -90,20 +82,16 @@ let compute ~p tree =
            direct kernel skips self-pairs by distance). *)
         Array.iter
           (fun u ->
-            let srcs =
-              Array.to_list (Quadtree.leaf_particles tree u)
-              |> List.map (fun pid ->
-                     (parts.(pid).Particle2d.q, parts.(pid).Particle2d.z))
-            in
+            let ids = Quadtree.leaf_particles tree u in
+            Particle2d.pack parts ids srcs ~pos:0;
+            p2p := !p2p + (Array.length ids * Array.length mine);
             Array.iter
               (fun pid ->
-                let phi, dphi = Expansion.direct srcs parts.(pid).Particle2d.z in
-                counts :=
-                  { !counts with p2p = !counts.p2p + List.length srcs };
-                potential.(pid) <- potential.(pid) +. phi.Complex.re;
-                field.(pid) <- Complex.add field.(pid) dphi)
+                add out pid
+                  (Expansion.direct_packed srcs ~n:(Array.length ids)
+                     parts.(pid).Particle2d.z))
               mine)
           (Quadtree.u_list tree leaf)
       end)
     (Quadtree.leaves_in_morton_order tree);
-  ({ potential; field }, !counts)
+  (out, { m2l = !m2l; p2p = !p2p; evals = !evals })

@@ -16,11 +16,12 @@ type counts = {
   evals : int;  (** local-expansion evaluations *)
 }
 
+val add : result -> int -> Complex.t * Complex.t -> unit
+(** [add r pid (phi, phi')] adds one contribution to particle [pid]:
+    [Re phi] to its potential, [phi'] to its field. *)
+
 val upward : p:int -> Quadtree.t -> Expansion.t array
 (** Multipole expansion of every cell (P2M at leaves, M2M up to level 2;
-    levels 0 and 1 are zero — their V lists are empty). *)
+    levels 0 and 1 share one zero expansion — their V lists are empty). *)
 
 val compute : p:int -> Quadtree.t -> result * counts
-
-val zero_counts : counts
-val add_counts : counts -> counts -> counts

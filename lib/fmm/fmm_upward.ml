@@ -27,21 +27,10 @@ let det_bits_base = 38
 (* Work items against the generic access interface, so the pass runs under
    every runtime. *)
 module Items (A : Dpa.Access.S) = struct
-  let write_local_expansion heaps (ptr : Gptr.t) (e : Expansion.t) =
-    (* In-place store writes: with the flat heap, [Heap.get] is a copy-out
-       (mutating the copy would be lost), so owned objects are written
-       through [set_float]. *)
-    let h = heaps.(Gptr.node ptr) in
-    Array.iteri
-      (fun i c ->
-        Heap.set_float h ptr (2 * i) c.Complex.re;
-        Heap.set_float h ptr ((2 * i) + 1) c.Complex.im)
-      e
-
   let p2m_items ~(params : Fmm_force.params) ~(global : Fmm_global.t) node =
     let tree = global.Fmm_global.tree in
     let parts = Quadtree.particles tree in
-    let p = params.Fmm_force.p in
+    let p = global.Fmm_global.p in
     Array.map
       (fun leaf ->
         let ids = Quadtree.leaf_particles tree leaf in
@@ -50,19 +39,16 @@ module Items (A : Dpa.Access.S) = struct
         fun (ctx : A.ctx) ->
           A.charge ctx
             (Array.length ids * Fmm_force.eval_cost_ns params);
-          let charges =
-            Array.to_list ids
-            |> List.map (fun pid ->
-                   (parts.(pid).Particle2d.q, parts.(pid).Particle2d.z))
-          in
-          let e = Expansion.p2m ~p ~center charges in
-          (* The leaf's multipole object is owned here: a direct write. *)
-          write_local_expansion global.Fmm_global.heaps ptr e)
+          (* Owned here: written in place ([Heap.get] is a copy-out). *)
+          Heap.set_floats global.Fmm_global.heaps.(Gptr.node ptr) ptr ~pos:0
+            (Expansion.p2m_particles ~p ~center parts ids))
       global.Fmm_global.owner_leaves.(node)
 
   let m2m_items ~(params : Fmm_force.params) ~(global : Fmm_global.t)
       ~owned_cells node =
     let tree = global.Fmm_global.tree in
+    let mine = Expansion.zero ~p:global.Fmm_global.p in
+    let shifted = Expansion.zero ~p:global.Fmm_global.p in
     Array.map
       (fun ci ->
         let parent = Quadtree.parent tree ci in
@@ -75,23 +61,16 @@ module Items (A : Dpa.Access.S) = struct
           (* Our own multipole is local: the owner of a cell owns its first
              descendant leaf, which is also this item's owner. *)
           A.charge ctx (Fmm_force.m2l_cost_ns params / 2);
-          let shifted =
-            Expansion.m2m
-              (Fmm_global.View.expansion global.Fmm_global.heaps my_ptr)
-              ~from_center ~to_center
-          in
-          Array.iteri
-            (fun i c ->
-              let grid =
-                Dpa_util.Det.grid
-                  ~bits:(det_bits_base + (i * (parent_level - 1)))
-              in
-              let re = Dpa_util.Det.quantize ~grid c.Complex.re in
-              let im = Dpa_util.Det.quantize ~grid c.Complex.im in
-              if re <> 0. then A.accumulate ctx parent_ptr ~idx:(2 * i) re;
-              if im <> 0. then
-                A.accumulate ctx parent_ptr ~idx:((2 * i) + 1) im)
-            shifted)
+          Fmm_global.View.expansion global.Fmm_global.heaps my_ptr mine;
+          Expansion.m2m_into ~dst:shifted mine ~from_center ~to_center;
+          for j = 0 to Array.length shifted - 1 do
+            let grid =
+              Dpa_util.Det.grid
+                ~bits:(det_bits_base + (j / 2 * (parent_level - 1)))
+            in
+            let v = Dpa_util.Det.quantize ~grid shifted.(j) in
+            if v <> 0. then A.accumulate ctx parent_ptr ~idx:j v
+          done)
       owned_cells.(node)
 end
 
@@ -118,47 +97,23 @@ let run ?route ~engine ~global ~params variant =
   let depth = Quadtree.depth tree in
   let total = ref None in
   let stats = ref [] in
-  let add_phase (b, s) =
-    (total := match !total with None -> Some b | Some t -> Some (Breakdown.add t b));
-    match s with Some s -> stats := s :: !stats | None -> ()
+  (* The M2M phases are fan-in reductions (many children, one parent
+     owner); [route] overrides a DPA config's routing for them. Results are
+     bit-identical either way — the per-coefficient grids make the merge
+     order irrelevant. *)
+  let variant =
+    match (variant, route) with
+    | Dpa_baselines.Variant.Dpa config, Some r ->
+      Dpa_baselines.Variant.Dpa Dpa.Config.{ config with route = r }
+    | v, _ -> v
   in
-  let run_items items_dpa items_caching =
-    match variant with
-    | Dpa_baselines.Variant.Dpa config ->
-      (* The M2M phases are fan-in reductions (many children, one parent
-         owner); [route] overrides the config's routing for them. Results
-         are bit-identical either way — the per-coefficient grids make the
-         merge order irrelevant. *)
-      let config =
-        match route with
-        | None -> config
-        | Some r -> Dpa.Config.{ config with route = r }
-      in
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-upward" ~engine
-          ~heaps:global.Fmm_global.heaps ~config ~items:items_dpa
-      in
-      add_phase (b, Some s)
-    | Dpa_baselines.Variant.Prefetch { strip_size } ->
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-upward-prefetch" ~engine
-          ~heaps:global.Fmm_global.heaps
-          ~config:(Dpa.Config.pipeline_only ~strip_size ())
-          ~items:items_dpa
-      in
-      add_phase (b, Some s)
-    | Dpa_baselines.Variant.Caching { capacity } ->
-      let b, _ =
-        Dpa_baselines.Caching.run_phase ~engine ~heaps:global.Fmm_global.heaps
-          ~capacity ~items:items_caching ()
-      in
-      add_phase (b, None)
-    | Dpa_baselines.Variant.Blocking ->
-      let b, _ =
-        Dpa_baselines.Blocking.run_phase ~engine ~heaps:global.Fmm_global.heaps
-          ~items:items_caching
-      in
-      add_phase (b, None)
+  let run_items dpa caching =
+    let b, s, _ =
+      Dpa_baselines.Variant.run_phase ~label:"fmm-upward" ~engine
+        ~heaps:global.Fmm_global.heaps ~dpa ~caching variant
+    in
+    (total := match !total with None -> Some b | Some t -> Some (Breakdown.add t b));
+    Option.iter (fun s -> stats := s :: !stats) s
   in
   (* P2M at the leaves. *)
   run_items

@@ -4,6 +4,16 @@ type t = { id : int; q : float; z : Complex.t }
 
 let make ~id ~q ~z = { id; q; z }
 
+let pack parts ids dst ~pos =
+  Array.iteri
+    (fun k i ->
+      let pt = parts.(i) and base = pos + (4 * k) in
+      dst.(base) <- float_of_int pt.id;
+      dst.(base + 1) <- pt.q;
+      dst.(base + 2) <- pt.z.Complex.re;
+      dst.(base + 3) <- pt.z.Complex.im)
+    ids
+
 let normalize_charges parts =
   let total = Array.fold_left (fun a p -> a +. p.q) 0. parts in
   Array.map (fun p -> { p with q = p.q /. total }) parts

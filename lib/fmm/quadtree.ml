@@ -87,6 +87,9 @@ let ancestor t i ~level =
 
 let is_leaf t i = level_of t i = t.depth
 
+let max_occupancy t =
+  Array.fold_left (fun m ids -> max m (Array.length ids)) 0 t.leaf_members
+
 let leaf_of_particle t pid = t.leaf_of_particle.(pid)
 
 let leaf_particles t i =

@@ -39,6 +39,9 @@ val leaf_particles : t -> int -> int array
 (** Particle ids in a leaf cell (empty for non-leaf indices of the leaf
     level is an error; cell must be a leaf). *)
 
+val max_occupancy : t -> int
+(** Most particles in any leaf. *)
+
 val leaves_in_morton_order : t -> int array
 (** Leaf cell indices ordered by the Morton (Z-order) curve — the
     locality-preserving order used for partitioning. *)

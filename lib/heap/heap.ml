@@ -174,6 +174,14 @@ let set_ptr t p i v =
     invalid_arg "Heap.set_ptr: field out of range";
   t.ppool.(t.meta.(m + 1) + i) <- v
 
+let set_floats t p ~pos (src : float array) =
+  let m = check t p "Heap.set_floats" in
+  if pos < 0 || pos + Array.length src > t.meta.(m + 2) then
+    invalid_arg "Heap.set_floats: range out of bounds";
+  for i = 0 to Array.length src - 1 do
+    Bigarray.Array1.unsafe_set t.fpool (t.meta.(m) + pos + i) src.(i)
+  done
+
 let bump_float t p ~idx v =
   let m = check t p "Heap.bump_float" in
   if idx < 0 || idx >= t.meta.(m + 2) then
@@ -204,6 +212,16 @@ let view_nptrs c (v : view) = nptrs c.(Gptr.node v) v
 let view_float c (v : view) i = get_float c.(Gptr.node v) v i
 let view_ptr c (v : view) i = get_ptr c.(Gptr.node v) v i
 let view_bytes c (v : view) = obj_bytes c.(Gptr.node v) v
+
+let view_floats_into c (v : view) ~pos ~len (dst : float array) =
+  let t = c.(Gptr.node v) in
+  let m = check t v "Heap.view_floats_into" in
+  if pos < 0 || len < 0 || pos + len > t.meta.(m + 2) || len > Array.length dst
+  then invalid_arg "Heap.view_floats_into: range out of bounds";
+  let base = t.meta.(m) + pos in
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst i (Bigarray.Array1.unsafe_get t.fpool (base + i))
+  done
 
 (* --- copy-out views ------------------------------------------------------ *)
 

@@ -55,6 +55,10 @@ val set_float : t -> Gptr.t -> int -> float -> unit
 val get_ptr : t -> Gptr.t -> int -> Gptr.t
 val set_ptr : t -> Gptr.t -> int -> Gptr.t -> unit
 
+val set_floats : t -> Gptr.t -> pos:int -> float array -> unit
+(** [set_floats t p ~pos src] writes [src] into float fields
+    [pos .. pos + length src - 1] of a local object. *)
+
 val bump_float : t -> Gptr.t -> idx:int -> float -> unit
 (** [bump_float t p ~idx v] adds [v] to float field [idx] of a local
     object — the owner-side application of a remote accumulation. Hits
@@ -86,6 +90,11 @@ val view_nptrs : cluster -> view -> int
 val view_float : cluster -> view -> int -> float
 val view_ptr : cluster -> view -> int -> Gptr.t
 val view_bytes : cluster -> view -> int
+
+val view_floats_into :
+  cluster -> view -> pos:int -> len:int -> float array -> unit
+(** [view_floats_into c v ~pos ~len dst] copies float fields
+    [pos .. pos+len-1] into [dst.(0 .. len-1)]. *)
 
 (** {2 Copy-out edges} *)
 

@@ -66,6 +66,147 @@ let test_l2l () =
         (Expansion.eval_local b ~center:lc z))
     [ c 2.1 1.5; c 2.2 1.4 ]
 
+(* Golden bit-identity: digests of the IEEE bits of every kernel's output
+   over fixed seeded inputs, recorded from the boxed [Complex.t] kernels
+   the unboxed ones replaced. Any change to an operation or its order
+   shows up here. *)
+let kernel_names =
+  [| "p2m"; "m2m"; "m2l"; "l2l"; "eval_local"; "eval_multipole"; "direct" |]
+
+let kernel_digests ~p =
+  let rng = Dpa_util.Rng.create ~seed:(1000 + p) in
+  let u () = Dpa_util.Rng.uniform rng in
+  let point x y =
+    let re = x () in
+    let im = y () in
+    { Complex.re; im }
+  in
+  let near c r =
+    point
+      (fun () -> c.Complex.re +. (r *. (u () -. 0.5)))
+      (fun () -> c.Complex.im +. (r *. (u () -. 0.5)))
+  in
+  let bufs = Array.map (fun _ -> Buffer.create 4096) kernel_names in
+  let put k fs =
+    List.iter (fun f -> Buffer.add_int64_le bufs.(k) (Int64.bits_of_float f)) fs
+  in
+  let pair ((a : Complex.t), (b : Complex.t)) = [ a.re; a.im; b.re; b.im ] in
+  for _ = 1 to 16 do
+    let c0 = point u u in
+    let charges =
+      List.init (1 + Dpa_util.Rng.int rng 12) (fun _ ->
+          let q = u () -. 0.25 in
+          (q, near c0 0.2))
+    in
+    let a = Expansion.p2m ~p ~center:c0 charges in
+    put 0 (Array.to_list a);
+    let c1 = near c0 0.4 in
+    let b = Expansion.m2m a ~from_center:c0 ~to_center:c1 in
+    put 1 (Array.to_list b);
+    let lc =
+      point
+        (fun () -> c1.Complex.re +. 2. +. u ())
+        (fun () -> c1.Complex.im -. 1. -. u ())
+    in
+    let l = Expansion.m2l b ~from_center:c1 ~to_center:lc in
+    put 2 (Array.to_list l);
+    let lc' = near lc 0.3 in
+    let l' = Expansion.l2l l ~from_center:lc ~to_center:lc' in
+    put 3 (Array.to_list l');
+    for _ = 1 to 4 do
+      let z = near lc' 0.3 in
+      put 4 (pair (Expansion.eval_local l' ~center:lc' z));
+      put 5 (pair (Expansion.eval_multipole b ~center:c1 z));
+      put 6 (pair (Expansion.direct charges z))
+    done;
+    (* A target on a source: the self-pair is skipped. *)
+    put 6 (pair (Expansion.direct charges (snd (List.hd charges))))
+  done;
+  Array.map (fun b -> Digest.to_hex (Digest.string (Buffer.contents b))) bufs
+
+let golden =
+  [
+    ( 13,
+      [
+      ("p2m", "925d6d742e7e4c42019bc1f552d91456");
+      ("m2m", "d0794b83ee82b396a4fe5a14d1bbe794");
+      ("m2l", "709bdba4d5a7391af6156722ecca770b");
+      ("l2l", "31f117d5ed969b4a25dd56521f8eb637");
+      ("eval_local", "03f9391563621d1cc9b5ce99c883e45d");
+      ("eval_multipole", "ff6ef90ddcfa3ee611879ae6e4ed6615");
+      ("direct", "0bba35cc4ca50527a43f06241e53bb26");
+      ] );
+    ( 29,
+      [
+      ("p2m", "875a198749324d55c6bfb6fb7373983b");
+      ("m2m", "7e51b138e5501ccdd28e2115a7be941a");
+      ("m2l", "2543a66ec1fcf4dc4f711711b1fe9203");
+      ("l2l", "b5ed6979e936e70ed506e9a239629411");
+      ("eval_local", "719d6a0b0b2861245f802bde4d32bab2");
+      ("eval_multipole", "9210bf0c76fa508b1d0ea77e4cac8753");
+      ("direct", "d4eafcf36f896203b0ca2bcd3e197456");
+      ] );
+  ]
+
+let test_golden_bits () =
+  List.iter
+    (fun (p, want) ->
+      let got = kernel_digests ~p in
+      List.iteri
+        (fun k (name, digest) ->
+          let name = Printf.sprintf "%s p=%d" name p in
+          Alcotest.(check string) name digest got.(k))
+        want)
+    golden
+
+(* The [_into] forms overwrite whatever the caller's buffer held: the same
+   bits as the allocating forms, from a dirty buffer. *)
+let test_into_matches () =
+  let a = Expansion.p2m ~p:29 ~center:src_center sources in
+  let to_center = c 2.0 1.5 in
+  let dst = Array.make (Array.length a) 7. in
+  Expansion.m2l_into ~dst a ~from_center:src_center ~to_center;
+  Alcotest.(check bool) "m2l_into" true
+    (dst = Expansion.m2l a ~from_center:src_center ~to_center);
+  Expansion.m2m_into ~dst a ~from_center:src_center ~to_center;
+  Alcotest.(check bool) "m2m_into" true
+    (dst = Expansion.m2m a ~from_center:src_center ~to_center)
+
+(* Words allocated per call, averaged over [n] calls. Every result here is
+   small enough for the minor heap, and [Gc.minor_words] is exact where
+   [Gc.counters] is only as current as the last minor collection. *)
+let words_per_call ~n f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The kernels allocate only what they return: an expansion is 2(p+1)
+   floats plus a header; a (phi, phi') pair is a tuple of two complexes. *)
+let test_alloc_ceiling () =
+  let p = 29 in
+  let a = Expansion.p2m ~p ~center:src_center sources in
+  let far = c 2.0 1.5 and near = c 0.2 (-0.1) in
+  let result = float_of_int ((2 * (p + 1)) + 1) in
+  let check name ceiling f =
+    let w = words_per_call ~n:1000 f in
+    if w > ceiling then
+      Alcotest.failf "%s: %.1f words per call, ceiling %.0f" name w ceiling
+  in
+  check "m2l" result (fun () ->
+      Expansion.m2l a ~from_center:src_center ~to_center:far);
+  check "m2m" result (fun () ->
+      Expansion.m2m a ~from_center:src_center ~to_center:near);
+  check "l2l" result (fun () ->
+      Expansion.l2l a ~from_center:far ~to_center:near);
+  let z = c 2.1 1.4 in
+  check "eval_local" 9. (fun () -> Expansion.eval_local a ~center:far z);
+  let dst = Expansion.zero ~p in
+  check "m2l_into" 0. (fun () ->
+      Expansion.m2l_into ~dst a ~from_center:src_center ~to_center:far)
+
 let qcheck_m2l_converges =
   QCheck.Test.make ~name:"m2l error shrinks with order" ~count:30
     QCheck.(pair (float_range 0.2 0.45) (float_range 0.2 0.45))
@@ -270,6 +411,9 @@ let suites =
         Alcotest.test_case "m2m" `Quick test_m2m;
         Alcotest.test_case "m2l" `Quick test_m2l;
         Alcotest.test_case "l2l" `Quick test_l2l;
+        Alcotest.test_case "golden kernel bits" `Quick test_golden_bits;
+        Alcotest.test_case "into matches allocating" `Quick test_into_matches;
+        Alcotest.test_case "allocation ceiling" `Quick test_alloc_ceiling;
         QCheck_alcotest.to_alcotest qcheck_m2l_converges;
       ] );
     ( "fmm.quadtree",

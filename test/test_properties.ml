@@ -180,7 +180,7 @@ let qcheck_l2l_exact =
     (fun coeffs ->
       (* A local expansion IS a polynomial; shifting its center must not
          change its values anywhere. *)
-      let b = Array.of_list (List.map (fun re -> { Complex.re; im = 0. }) coeffs) in
+      let b = Array.of_list (List.concat_map (fun re -> [ re; 0. ]) coeffs) in
       let c = { Complex.re = 0.6; im = -0.3 } in
       let b' = Dpa_fmm.Expansion.l2l b ~from_center:Complex.zero ~to_center:c in
       let z = { Complex.re = 0.9; im = 0.4 } in

@@ -434,15 +434,16 @@ let expansions_match tree global reference =
   let ok = ref true in
   for ci = 0 to Dpa_fmm.Quadtree.ncells tree - 1 do
     if Dpa_fmm.Quadtree.level_of tree ci >= 2 then begin
-      let got =
-        Dpa_fmm.Fmm_global.View.expansion global.Dpa_fmm.Fmm_global.heaps
-          global.Dpa_fmm.Fmm_global.mp_ptrs.(ci)
-      in
-      Array.iteri
-        (fun k c ->
-          if Complex.norm (Complex.sub c reference.(ci).(k)) > 1e-9 then
-            ok := false)
-        got
+      let got = Dpa_fmm.Expansion.zero ~p:global.Dpa_fmm.Fmm_global.p in
+      Dpa_fmm.Fmm_global.View.expansion global.Dpa_fmm.Fmm_global.heaps
+        global.Dpa_fmm.Fmm_global.mp_ptrs.(ci) got;
+      for k = 0 to Dpa_fmm.Expansion.order got do
+        let c (e : Dpa_fmm.Expansion.t) =
+          { Complex.re = e.(2 * k); im = e.((2 * k) + 1) }
+        in
+        if Complex.norm (Complex.sub (c got) (c reference.(ci))) > 1e-9 then
+          ok := false
+      done
     end
   done;
   !ok

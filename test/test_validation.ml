@@ -8,6 +8,13 @@ let expect_invalid name f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   | exception Invalid_argument _ -> ()
 
+(* The exact message, not just the exception: a check that fires for the
+   wrong reason fails here. *)
+let expect_message name msg f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument %S" name msg
+  | exception Invalid_argument got -> Alcotest.(check string) name msg got
+
 let test_machine_validation () =
   expect_invalid "zero nodes" (fun () -> Machine.make ~nodes:0 ())
 
@@ -26,7 +33,22 @@ let test_config_validation () =
 
 let test_heap_validation () =
   expect_invalid "zero cluster" (fun () -> Dpa_heap.Heap.cluster ~nnodes:0);
-  expect_invalid "bad gptr" (fun () -> Dpa_heap.Gptr.make ~node:(-1) ~slot:0)
+  expect_invalid "bad gptr" (fun () -> Dpa_heap.Gptr.make ~node:(-1) ~slot:0);
+  let heaps = Dpa_heap.Heap.cluster ~nnodes:1 in
+  let v = Dpa_heap.Heap.alloc heaps.(0) ~floats:[| 1.; 2.; 3. |] ~ptrs:[||] in
+  let copy ~pos ~len dst () =
+    Dpa_heap.Heap.view_floats_into heaps v ~pos ~len dst
+  in
+  let msg = "Heap.view_floats_into: range out of bounds" in
+  expect_message "past the object" msg (copy ~pos:1 ~len:3 (Array.make 3 0.));
+  expect_message "negative pos" msg (copy ~pos:(-1) ~len:1 (Array.make 3 0.));
+  expect_message "short dst" msg (copy ~pos:0 ~len:3 (Array.make 2 0.));
+  expect_message "write past the object" "Heap.set_floats: range out of bounds"
+    (fun () -> Dpa_heap.Heap.set_floats heaps.(0) v ~pos:2 [| 5.; 6. |]);
+  Dpa_heap.Heap.set_floats heaps.(0) v ~pos:1 [| 5. |];
+  let dst = Array.make 2 0. in
+  copy ~pos:1 ~len:2 dst ();
+  Alcotest.(check (array (float 0.))) "copied" [| 5.; 3. |] dst
 
 let test_aggregator_validation () =
   expect_invalid "zero dest" (fun () ->
@@ -61,15 +83,37 @@ let test_app_validation () =
         ~remote_frac:1.5 ~seed:1)
 
 let test_expansion_validation () =
-  expect_invalid "coincident m2l" (fun () ->
-      Dpa_fmm.Expansion.m2l
-        (Dpa_fmm.Expansion.zero ~p:3)
-        ~from_center:Complex.zero ~to_center:Complex.zero);
-  expect_invalid "mismatched add" (fun () ->
-      Dpa_fmm.Expansion.add_inplace
-        (Dpa_fmm.Expansion.zero ~p:2)
-        (Dpa_fmm.Expansion.zero ~p:3));
-  expect_invalid "huge binomial" (fun () -> Dpa_fmm.Expansion.binomial 1000 2)
+  let module E = Dpa_fmm.Expansion in
+  let far = { Complex.re = 3.; im = 1. } in
+  let shift kernel ~dst a =
+    kernel ~dst a ~from_center:Complex.zero ~to_center:far
+  in
+  expect_message "coincident m2l" "Expansion.m2l: coincident centers" (fun () ->
+      E.m2l (E.zero ~p:3) ~from_center:Complex.zero ~to_center:Complex.zero);
+  expect_message "mismatched add" "Expansion.add_inplace: order mismatch"
+    (fun () -> E.add_inplace (E.zero ~p:2) (E.zero ~p:3));
+  expect_message "huge binomial" "Expansion.binomial: n too large" (fun () ->
+      E.binomial 1000 2);
+  let msg = "Expansion.order: length must be even and positive" in
+  expect_message "odd length" msg (fun () -> E.order [| 1.; 2.; 3. |]);
+  expect_message "empty" msg (fun () -> E.order [||]);
+  (* M2L reads binomial rows up to 2p - 1, L2L up to p. *)
+  expect_message "m2l order" "Expansion.m2l: order too large" (fun () ->
+      E.m2l (E.zero ~p:65) ~from_center:Complex.zero ~to_center:far);
+  expect_message "l2l order" "Expansion.l2l: order too large" (fun () ->
+      E.l2l (E.zero ~p:129) ~from_center:Complex.zero ~to_center:far);
+  expect_message "m2l dst order" "Expansion.m2l: order mismatch" (fun () ->
+      shift E.m2l_into ~dst:(E.zero ~p:2) (E.zero ~p:3));
+  expect_message "m2m dst order" "Expansion.m2m: order mismatch" (fun () ->
+      shift E.m2m_into ~dst:(E.zero ~p:2) (E.zero ~p:3));
+  let a = E.zero ~p:3 in
+  expect_message "m2l in place" "Expansion.m2l: dst aliases the source"
+    (fun () -> shift E.m2l_into ~dst:a a);
+  expect_message "m2m in place" "Expansion.m2m: dst aliases the source"
+    (fun () -> shift E.m2m_into ~dst:a a);
+  expect_message "short sources"
+    "Expansion.direct_packed: n exceeds the packed sources" (fun () ->
+      E.direct_packed (Array.make 7 0.) ~n:2 far)
 
 let test_variant_names () =
   Alcotest.(check string) "dpa" "DPA(50)"
