@@ -13,23 +13,3 @@ let name = function
   | Prefetch { strip_size } -> Printf.sprintf "Prefetch(%d)" strip_size
 
 let pp ppf t = Format.pp_print_string ppf (name t)
-
-let run_phase ~label ~engine ~heaps ~dpa ~caching = function
-  | Dpa config ->
-    let b, s =
-      Dpa.Runtime.run_phase_labeled ~label ~engine ~heaps ~config ~items:dpa
-    in
-    (b, Some s, None)
-  | Prefetch { strip_size } ->
-    let b, s =
-      Dpa.Runtime.run_phase_labeled ~label:(label ^ "-prefetch") ~engine ~heaps
-        ~config:(Dpa.Config.pipeline_only ~strip_size ())
-        ~items:dpa
-    in
-    (b, Some s, None)
-  | Caching { capacity } ->
-    let b, s = Caching.run_phase ~engine ~heaps ~capacity ~items:caching () in
-    (b, None, Some s)
-  | Blocking ->
-    let b, s = Blocking.run_phase ~engine ~heaps ~items:caching in
-    (b, None, Some s)

@@ -11,16 +11,3 @@ type t =
 val dpa : ?strip_size:int -> ?agg_max:int -> unit -> t
 val name : t -> string
 val pp : Format.formatter -> t -> unit
-
-val run_phase :
-  label:string ->
-  engine:Dpa_sim.Engine.t ->
-  heaps:Dpa_heap.Heap.cluster ->
-  dpa:(int -> (Dpa.Runtime.ctx -> unit) array) ->
-  caching:(int -> (Caching.ctx -> unit) array) ->
-  t ->
-  Dpa_sim.Breakdown.t * Dpa.Dpa_stats.t option * Caching.stats option
-(** Run one phase under the variant: [dpa] items under {!Dpa.Runtime}
-    (labelled [label], or [label ^ "-prefetch"] for the pipelining-only
-    configuration), [caching] items under the caching or blocking
-    baseline. Only the matching item function is called. *)

@@ -20,14 +20,35 @@ let force_phase ?work ~engine ~tree ~bodies ~params variant =
     Array.init n (fun i ->
         Vec3.make accs.(3 * i) accs.((3 * i) + 1) accs.((3 * i) + 2))
   in
-  let breakdown, dpa_stats, cache_stats =
-    Dpa_baselines.Variant.run_phase ~label:"bh-force" ~engine
-      ~heaps:tree.Bh_global.heaps
-      ~dpa:(Force_dpa.items ?work ~params ~tree ~bodies ~accs)
-      ~caching:(Force_caching.items ?work ~params ~tree ~bodies ~accs)
-      variant
-  in
-  { breakdown; accs = to_vec3 (); dpa_stats; cache_stats }
+  let heaps = tree.Bh_global.heaps in
+  match variant with
+  | Dpa_baselines.Variant.Dpa config ->
+    let items = Force_dpa.items ?work ~params ~tree ~bodies ~accs in
+    let breakdown, stats =
+      Dpa.Runtime.run_phase_labeled ~label:"bh-force" ~engine ~heaps ~config
+        ~items
+    in
+    { breakdown; accs = to_vec3 (); dpa_stats = Some stats; cache_stats = None }
+  | Dpa_baselines.Variant.Prefetch { strip_size } ->
+    let items = Force_dpa.items ?work ~params ~tree ~bodies ~accs in
+    let breakdown, stats =
+      Dpa.Runtime.run_phase_labeled ~label:"bh-force-prefetch" ~engine ~heaps
+        ~config:(Dpa.Config.pipeline_only ~strip_size ())
+        ~items
+    in
+    { breakdown; accs = to_vec3 (); dpa_stats = Some stats; cache_stats = None }
+  | Dpa_baselines.Variant.Caching { capacity } ->
+    let items = Force_caching.items ?work ~params ~tree ~bodies ~accs in
+    let breakdown, stats =
+      Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity ~items ()
+    in
+    { breakdown; accs = to_vec3 (); dpa_stats = None; cache_stats = Some stats }
+  | Dpa_baselines.Variant.Blocking ->
+    let items = Force_caching.items ?work ~params ~tree ~bodies ~accs in
+    let breakdown, stats =
+      Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items
+    in
+    { breakdown; accs = to_vec3 (); dpa_stats = None; cache_stats = Some stats }
 
 type sim_result = {
   total : Breakdown.t;

@@ -68,12 +68,37 @@ module F_caching = Make (Dpa_baselines.Caching)
 let force_phase ~engine ~global ~params variant =
   let n = Array.length (Aquadtree.particles global.Afmm_global.tree) in
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
-  let breakdown, stats, _ =
-    Dpa_baselines.Variant.run_phase ~label:"afmm-force" ~engine
-      ~heaps:global.Afmm_global.heaps
-      ~dpa:(F_dpa.items ~params ~global ~potential ~field)
-      ~caching:(F_caching.items ~params ~global ~potential ~field)
-      variant
+  let heaps = global.Afmm_global.heaps in
+  let breakdown, stats =
+    match variant with
+    | Dpa_baselines.Variant.Dpa config ->
+      let b, s =
+        Dpa.Runtime.run_phase_labeled ~label:"afmm-force" ~engine ~heaps
+          ~config
+          ~items:(F_dpa.items ~params ~global ~potential ~field)
+      in
+      (b, Some s)
+    | Dpa_baselines.Variant.Prefetch { strip_size } ->
+      let b, s =
+        Dpa.Runtime.run_phase_labeled ~label:"afmm-force-prefetch" ~engine
+          ~heaps
+          ~config:(Dpa.Config.pipeline_only ~strip_size ())
+          ~items:(F_dpa.items ~params ~global ~potential ~field)
+      in
+      (b, Some s)
+    | Dpa_baselines.Variant.Caching { capacity } ->
+      let b, _ =
+        Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity
+          ~items:(F_caching.items ~params ~global ~potential ~field)
+          ()
+      in
+      (b, None)
+    | Dpa_baselines.Variant.Blocking ->
+      let b, _ =
+        Dpa_baselines.Blocking.run_phase ~engine ~heaps
+          ~items:(F_caching.items ~params ~global ~potential ~field)
+      in
+      (b, None)
   in
   (breakdown, { Fmm_seq.potential; field }, stats)
 

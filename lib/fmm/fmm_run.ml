@@ -13,12 +13,35 @@ module Force_caching = Fmm_force.Make (Dpa_baselines.Caching)
 let force_phase ~engine ~global ~params variant =
   let n = Array.length (Quadtree.particles global.Fmm_global.tree) in
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
+  let heaps = global.Fmm_global.heaps in
   let breakdown, dpa_stats, cache_stats =
-    Dpa_baselines.Variant.run_phase ~label:"fmm-force" ~engine
-      ~heaps:global.Fmm_global.heaps
-      ~dpa:(Force_dpa.items ~params ~global ~potential ~field)
-      ~caching:(Force_caching.items ~params ~global ~potential ~field)
-      variant
+    match variant with
+    | Dpa_baselines.Variant.Dpa config ->
+      let items = Force_dpa.items ~params ~global ~potential ~field in
+      let b, s =
+        Dpa.Runtime.run_phase_labeled ~label:"fmm-force" ~engine ~heaps ~config
+          ~items
+      in
+      (b, Some s, None)
+    | Dpa_baselines.Variant.Prefetch { strip_size } ->
+      let items = Force_dpa.items ~params ~global ~potential ~field in
+      let b, s =
+        Dpa.Runtime.run_phase_labeled ~label:"fmm-force-prefetch" ~engine
+          ~heaps
+          ~config:(Dpa.Config.pipeline_only ~strip_size ())
+          ~items
+      in
+      (b, Some s, None)
+    | Dpa_baselines.Variant.Caching { capacity } ->
+      let items = Force_caching.items ~params ~global ~potential ~field in
+      let b, s =
+        Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity ~items ()
+      in
+      (b, None, Some s)
+    | Dpa_baselines.Variant.Blocking ->
+      let items = Force_caching.items ~params ~global ~potential ~field in
+      let b, s = Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items in
+      (b, None, Some s)
   in
   { breakdown; result = { Fmm_seq.potential; field }; dpa_stats; cache_stats }
 

@@ -97,23 +97,47 @@ let run ?route ~engine ~global ~params variant =
   let depth = Quadtree.depth tree in
   let total = ref None in
   let stats = ref [] in
-  (* The M2M phases are fan-in reductions (many children, one parent
-     owner); [route] overrides a DPA config's routing for them. Results are
-     bit-identical either way — the per-coefficient grids make the merge
-     order irrelevant. *)
-  let variant =
-    match (variant, route) with
-    | Dpa_baselines.Variant.Dpa config, Some r ->
-      Dpa_baselines.Variant.Dpa Dpa.Config.{ config with route = r }
-    | v, _ -> v
-  in
-  let run_items dpa caching =
-    let b, s, _ =
-      Dpa_baselines.Variant.run_phase ~label:"fmm-upward" ~engine
-        ~heaps:global.Fmm_global.heaps ~dpa ~caching variant
-    in
+  let add_phase (b, s) =
     (total := match !total with None -> Some b | Some t -> Some (Breakdown.add t b));
-    Option.iter (fun s -> stats := s :: !stats) s
+    match s with Some s -> stats := s :: !stats | None -> ()
+  in
+  let run_items items_dpa items_caching =
+    match variant with
+    | Dpa_baselines.Variant.Dpa config ->
+      (* The M2M phases are fan-in reductions (many children, one parent
+         owner); [route] overrides the config's routing for them. Results
+         are bit-identical either way — the per-coefficient grids make the
+         merge order irrelevant. *)
+      let config =
+        match route with
+        | None -> config
+        | Some r -> Dpa.Config.{ config with route = r }
+      in
+      let b, s =
+        Dpa.Runtime.run_phase_labeled ~label:"fmm-upward" ~engine
+          ~heaps:global.Fmm_global.heaps ~config ~items:items_dpa
+      in
+      add_phase (b, Some s)
+    | Dpa_baselines.Variant.Prefetch { strip_size } ->
+      let b, s =
+        Dpa.Runtime.run_phase_labeled ~label:"fmm-upward-prefetch" ~engine
+          ~heaps:global.Fmm_global.heaps
+          ~config:(Dpa.Config.pipeline_only ~strip_size ())
+          ~items:items_dpa
+      in
+      add_phase (b, Some s)
+    | Dpa_baselines.Variant.Caching { capacity } ->
+      let b, _ =
+        Dpa_baselines.Caching.run_phase ~engine ~heaps:global.Fmm_global.heaps
+          ~capacity ~items:items_caching ()
+      in
+      add_phase (b, None)
+    | Dpa_baselines.Variant.Blocking ->
+      let b, _ =
+        Dpa_baselines.Blocking.run_phase ~engine ~heaps:global.Fmm_global.heaps
+          ~items:items_caching
+      in
+      add_phase (b, None)
   in
   (* P2M at the leaves. *)
   run_items
