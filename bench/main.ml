@@ -1,21 +1,16 @@
-(* Benchmark harness.
-
-   Part 1 (Bechamel): one Test.make per paper artifact, measuring the
-   host-side cost of the kernel that experiment exercises. These are real
-   micro-benchmarks of this library (simulator, runtime, math kernels), not
-   of the simulated machine.
-
-   Part 2: regenerate every table and figure of the paper at the small
-   scale (simulated-machine results; `bin/dpa_bench --scale full` gives the
-   paper-scale numbers recorded in EXPERIMENTS.md). *)
+(* Bechamel micro-benchmarks: one Test.make per paper artifact, measuring
+   the host-side cost of the kernel that experiment exercises. These are
+   real micro-benchmarks of this library (simulator, runtime, math
+   kernels), not of the simulated machine; `bin/dpa_bench` regenerates the
+   artifacts themselves. *)
 
 open Bechamel
 open Toolkit
 
 (* --- kernels ----------------------------------------------------------- *)
 
-(* T2: a complete small Barnes-Hut DPA force phase. *)
-let bh_phase () =
+(* T2 and F1: a complete small Barnes-Hut force phase under [variant]. *)
+let bh_phase variant =
   let bodies = Dpa_bh.Plummer.generate ~n:256 ~seed:7 in
   let octree = Dpa_bh.Octree.build bodies in
   let tree = Dpa_bh.Bh_global.distribute octree ~nnodes:4 in
@@ -23,20 +18,7 @@ let bh_phase () =
     let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:4) in
     Sys.opaque_identity
       (Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
-         ~params:Dpa_bh.Bh_force.default_params
-         (Dpa_baselines.Variant.dpa ~strip_size:25 ()))
-
-(* F1: the same phase under the software-caching baseline. *)
-let bh_caching_phase () =
-  let bodies = Dpa_bh.Plummer.generate ~n:256 ~seed:7 in
-  let octree = Dpa_bh.Octree.build bodies in
-  let tree = Dpa_bh.Bh_global.distribute octree ~nnodes:4 in
-  fun () ->
-    let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:4) in
-    Sys.opaque_identity
-      (Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
-         ~params:Dpa_bh.Bh_force.default_params
-         (Dpa_baselines.Variant.Caching { capacity = 512 }))
+         ~params:Dpa_bh.Bh_force.default_params variant)
 
 (* T3: a complete small FMM DPA force phase. *)
 let fmm_phase () =
@@ -191,9 +173,12 @@ let trace_kernel () =
 let tests =
   [
     Test.make ~name:"t1-partition-analysis" (Staged.stage (partition_kernel ()));
-    Test.make ~name:"t2-bh-dpa-phase" (Staged.stage (bh_phase ()));
+    Test.make ~name:"t2-bh-dpa-phase"
+      (Staged.stage (bh_phase (Dpa_baselines.Variant.dpa ~strip_size:25 ())));
     Test.make ~name:"t3-fmm-dpa-phase" (Staged.stage (fmm_phase ()));
-    Test.make ~name:"f1-bh-caching-phase" (Staged.stage (bh_caching_phase ()));
+    Test.make ~name:"f1-bh-caching-phase"
+      (Staged.stage
+         (bh_phase (Dpa_baselines.Variant.Caching { capacity = 512 })));
     Test.make ~name:"f2-m2l-p29" (Staged.stage (m2l_kernel ()));
     Test.make ~name:"f3-dpa-scheduler" (Staged.stage (scheduler_phase ()));
     Test.make ~name:"f4-event-queue-1k" (Staged.stage (event_queue_kernel ()));
@@ -206,7 +191,7 @@ let tests =
     Test.make ~name:"timeline-trace-1k" (Staged.stage (trace_kernel ()));
   ]
 
-let run_bechamel () =
+let () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
@@ -227,110 +212,3 @@ let run_bechamel () =
         results)
     tests;
   print_newline ()
-
-(* --- table/figure regeneration ---------------------------------------- *)
-
-let run_experiments () =
-  let conf = Dpa_harness.Runconf.small in
-  print_endline
-    "Regenerating the paper's tables and figures (small scale; use `dune \
-     exec bin/dpa_bench.exe -- all --scale full` for paper scale):";
-  print_newline ();
-  Dpa_harness.Experiment.print_thread_stats
-    (Dpa_harness.Experiment.thread_stats conf);
-  let bh = Dpa_harness.Experiment.bh_times conf in
-  Dpa_harness.Experiment.print_times
-    ~title:"T2: Barnes-Hut force-phase times (small scale)" bh;
-  let fmm = Dpa_harness.Experiment.fmm_times conf in
-  Dpa_harness.Experiment.print_times
-    ~title:"T3: FMM force-phase times (small scale)" fmm;
-  Dpa_harness.Experiment.print_breakdown ~title:"F1: Barnes-Hut breakdown"
-    (Dpa_harness.Experiment.bh_breakdown conf);
-  Dpa_harness.Experiment.print_breakdown ~title:"F2: FMM breakdown"
-    (Dpa_harness.Experiment.fmm_breakdown conf);
-  Dpa_harness.Experiment.print_strip_sweep
-    (Dpa_harness.Experiment.strip_sweep conf);
-  Dpa_harness.Experiment.print_speedups
-    (Dpa_harness.Experiment.speedups ~bh ~fmm);
-  Dpa_harness.Experiment.print_agg_sweep (Dpa_harness.Experiment.agg_sweep conf);
-  let dpa_ref =
-    List.find
-      (fun (t : Dpa_harness.Experiment.timing) ->
-        t.Dpa_harness.Experiment.procs
-        = conf.Dpa_harness.Runconf.breakdown_procs)
-      bh
-  in
-  Dpa_harness.Experiment.print_cache_sweep
-    ~dpa_time_s:dpa_ref.Dpa_harness.Experiment.dpa_s
-    (Dpa_harness.Experiment.cache_sweep conf);
-  Dpa_harness.Experiment.print_distribution_sweep
-    (Dpa_harness.Experiment.distribution_sweep conf);
-  Dpa_harness.Experiment.print_partition_sweep
-    (Dpa_harness.Experiment.partition_sweep conf);
-  Dpa_harness.Experiment.print_em3d_sweep
-    (Dpa_harness.Experiment.em3d_sweep conf);
-  Dpa_harness.Experiment.print_latency_sweep
-    (Dpa_harness.Experiment.latency_sweep conf);
-  Dpa_harness.Experiment.print_upward_sweep
-    (Dpa_harness.Experiment.upward_sweep conf);
-  Dpa_harness.Experiment.print_afmm_sweep
-    (Dpa_harness.Experiment.afmm_sweep conf);
-  Dpa_harness.Experiment.print_cache_locality
-    (Dpa_harness.Experiment.cache_locality conf);
-  Dpa_harness.Experiment.print_hotspot (Dpa_harness.Experiment.hotspot conf)
-
-(* --- entry point ------------------------------------------------------- *)
-
-(* Optional observability: `--trace FILE`, `--metrics FILE` and `--profile`
-   install a global sink around the experiment pass (micro-benchmarks are
-   excluded so the exports only cover one run of each experiment). *)
-let () =
-  let trace = ref None and metrics = ref None and profile = ref false in
-  Arg.parse
-    [
-      ( "--trace",
-        Arg.String (fun p -> trace := Some p),
-        "FILE Write a Chrome trace_event JSON of the experiment pass" );
-      ( "--metrics",
-        Arg.String (fun p -> metrics := Some p),
-        "FILE Write a JSON metrics dump of the experiment pass" );
-      ( "--profile",
-        Arg.Set profile,
-        " Print a per-phase profile after the experiment pass" );
-    ]
-    (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench/main.exe [--trace FILE] [--metrics FILE] [--profile]";
-  let observing = !trace <> None || !metrics <> None || !profile in
-  if not observing then begin
-    run_bechamel ();
-    run_experiments ()
-  end
-  else begin
-    (* Open output files before the long run so a bad path fails fast. *)
-    let open_or_die path =
-      try (path, open_out path)
-      with Sys_error e ->
-        prerr_endline ("bench: " ^ e);
-        exit 1
-    in
-    let trace_out = Option.map open_or_die !trace in
-    let metrics_out = Option.map open_or_die !metrics in
-    run_bechamel ();
-    let sink = Dpa_obs.Sink.create () in
-    Dpa_obs.Sink.set_global (Some sink);
-    Fun.protect
-      ~finally:(fun () -> Dpa_obs.Sink.set_global None)
-      run_experiments;
-    let finish what render = function
-      | None -> ()
-      | Some (path, oc) ->
-        output_string oc (render ());
-        close_out oc;
-        Printf.printf "wrote %s to %s\n" what path
-    in
-    finish "Chrome trace" (fun () -> Dpa_obs.Export.chrome_trace sink) trace_out;
-    finish "metrics"
-      (fun () -> Dpa_obs.Json.to_string (Dpa_obs.Export.metrics_json sink))
-      metrics_out;
-    if !profile then print_string (Dpa_obs.Export.profile sink)
-  end

@@ -126,24 +126,33 @@ let obs_term =
     const combine $ trace $ metrics $ events $ critpath $ profile $ cats
     $ spans_only $ sample_ns $ ring)
 
+let fail msg =
+  prerr_endline ("dpa_bench: " ^ msg);
+  exit 1
+
+(* Output files are opened before the (possibly long) run so a bad path
+   fails immediately rather than after the experiment finishes. *)
+let open_or_die path = try (path, open_out path) with Sys_error e -> fail e
+
+let write what render = function
+  | None -> ()
+  | Some (path, oc) ->
+    output_string oc (render ());
+    close_out oc;
+    Printf.printf "wrote %s to %s\n" what path
+
+let json_line json () = Dpa_obs.Json.to_string json ^ "\n"
+
 let with_obs obs f conf =
-  (if obs.ring <= 0 then begin
-     prerr_endline "dpa_bench: --ring must be positive";
-     exit 1
-   end);
+  (* Checked before any output file is opened (and so truncated), and
+     whether or not one is asked for. *)
+  if obs.ring <= 0 then fail "--ring must be positive";
+  if obs.sample_ns < 0 then fail "--sample-ns must be non-negative";
   if
     obs.trace = None && obs.metrics = None && obs.events = None
     && obs.critpath = None && not obs.profile
   then f conf
   else begin
-    (* Open every output file before the (possibly long) run so a bad path
-       fails immediately rather than after the experiment finishes. *)
-    let open_or_die path =
-      try (path, open_out path)
-      with Sys_error e ->
-        prerr_endline ("dpa_bench: " ^ e);
-        exit 1
-    in
     let trace_out = Option.map open_or_die obs.trace in
     let metrics_out = Option.map open_or_die obs.metrics in
     let events_out = Option.map open_or_die obs.events in
@@ -153,10 +162,6 @@ let with_obs obs f conf =
       Dpa_obs.Sink.set_causal sink (Some (Dpa_obs.Causal.create ()));
     Dpa_obs.Sink.set_categories sink obs.cats;
     Dpa_obs.Sink.set_spans_only sink obs.spans_only;
-    (if obs.sample_ns < 0 then begin
-       prerr_endline "dpa_bench: --sample-ns must be non-negative";
-       exit 1
-     end);
     Dpa_obs.Sink.set_sample_period sink obs.sample_ns;
     (* [--events] streams: every event goes to the file as the run emits
        it (flushed at phase barriers), so the ring capacity no longer
@@ -172,15 +177,8 @@ let with_obs obs f conf =
         Dpa_obs.Sink.close_writer sink;
         Dpa_obs.Sink.set_global None)
       (fun () -> f conf);
-    let finish what render = function
-      | None -> ()
-      | Some (path, oc) ->
-        output_string oc (render ());
-        close_out oc;
-        Printf.printf "wrote %s to %s\n" what path
-    in
-    finish "Chrome trace" (fun () -> Dpa_obs.Export.chrome_trace sink) trace_out;
-    finish "metrics"
+    write "Chrome trace" (fun () -> Dpa_obs.Export.chrome_trace sink) trace_out;
+    write "metrics"
       (fun () -> Dpa_obs.Json.to_string (Dpa_obs.Export.metrics_json sink))
       metrics_out;
     (match events_out with
@@ -248,9 +246,7 @@ let with_faults fo f conf =
   | None -> f conf
   | Some s -> (
     match Dpa_sim.Fault.spec_of_string s with
-    | Error msg ->
-      prerr_endline ("dpa_bench: --faults: " ^ msg);
-      exit 1
+    | Error msg -> fail ("--faults: " ^ msg)
     | Ok spec ->
       Dpa_sim.Fault.set_global ~seed:fo.fault_seed (Some spec);
       Fun.protect
@@ -343,10 +339,7 @@ let conf_term =
         match int_of_string_opt s with
         | Some n when n > 0 ->
           { c with Runconf.bh_strip = n; Runconf.fmm_strip = n }
-        | _ ->
-          prerr_endline
-            "dpa_bench: --strip expects a positive integer or 'auto'";
-          exit 1)
+        | _ -> fail "--strip expects a positive integer or 'auto'")
     in
     let c =
       match particles with
@@ -429,70 +422,27 @@ let run_a9 conf =
 
 let run_a10 conf = Experiment.print_hotspot (Experiment.hotspot conf)
 
-let run_a11 conf =
-  Experiment.print_chaos_sweep ~procs:conf.Runconf.breakdown_procs
-    (Experiment.chaos_sweep conf)
-
 let run_a12 conf =
   Experiment.print_adaptive_strip_sweep ~procs:conf.Runconf.breakdown_procs
     (Experiment.adaptive_strip_sweep conf);
-  Experiment.print_adaptive_rto_sweep ~procs:conf.Runconf.breakdown_procs
-    ~spec:"heavy"
-    (Experiment.adaptive_rto_sweep conf)
+  Experiment.adaptive_rto_sweep conf
 
-let run_a13 conf = Experiment.print_crash_matrix (Experiment.crash_matrix conf)
+let run_a15 json conf =
+  let json_out = Option.map open_or_die json in
+  let matrix = Experiment.optimality_matrix conf in
+  write "optimality matrix" (json_line matrix) json_out
 
-let run_a14 conf =
-  Experiment.print_integrity_matrix (Experiment.integrity_matrix conf)
-
-let run_a15 ?(json = None) conf =
-  (* Open the output before the run so a bad path fails immediately. *)
-  let json_out =
-    Option.map
-      (fun path ->
-        try (path, open_out path)
-        with Sys_error e ->
-          prerr_endline ("dpa_bench: " ^ e);
-          exit 1)
-      json
-  in
-  let rows = Experiment.optimality_matrix conf in
-  Experiment.print_optimality_matrix rows;
-  match json_out with
-  | None -> ()
-  | Some (path, oc) ->
-    output_string oc (Dpa_obs.Json.to_string (Experiment.optimality_json rows));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote optimality matrix to %s\n" path
-
-let run_a16 ?(json = None) conf =
-  (* Open the output before the run so a bad path fails immediately. *)
-  let json_out =
-    Option.map
-      (fun path ->
-        try (path, open_out path)
-        with Sys_error e ->
-          prerr_endline ("dpa_bench: " ^ e);
-          exit 1)
-      json
-  in
+let run_a16 json conf =
+  let json_out = Option.map open_or_die json in
   let rows = (Experiment.scale_gate conf, Experiment.scale_sweep conf) in
   Experiment.print_scale_sweep rows;
-  match json_out with
-  | None -> ()
-  | Some (path, oc) ->
-    output_string oc (Dpa_obs.Json.to_string (Experiment.scale_json rows));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote scale sweep to %s\n" path
+  write "scale sweep" (json_line (Experiment.scale_json rows)) json_out
 
-let run_timeline ?(csv = None) conf =
+let run_timeline csv conf =
+  let csv_out = Option.map open_or_die csv in
   let nnodes = conf.Runconf.breakdown_procs in
   let show variant =
-    let bodies = Dpa_bh.Plummer.generate ~n:conf.Runconf.bh_bodies ~seed:17 in
-    let octree = Dpa_bh.Octree.build bodies in
-    let tree = Dpa_bh.Bh_global.distribute octree ~nnodes in
+    let bodies, tree = Experiment.bh_input conf ~nnodes in
     let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:nnodes) in
     let trace = Dpa_sim.Trace.attach engine in
     ignore
@@ -508,13 +458,7 @@ let run_timeline ?(csv = None) conf =
     show (Dpa_baselines.Variant.dpa ~strip_size:conf.Runconf.bh_strip ())
   in
   let (_ : Dpa_sim.Trace.t) = show Dpa_baselines.Variant.Blocking in
-  match csv with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Dpa_sim.Trace.to_csv t_dpa);
-    close_out oc;
-    Printf.printf "wrote DPA trace to %s\n" path
+  write "DPA trace" (fun () -> Dpa_sim.Trace.to_csv t_dpa) csv_out
 
 let run_calibrate conf =
   Printf.printf "Machine model calibration (%s scale)\n" conf.Runconf.name;
@@ -568,25 +512,34 @@ let run_all conf =
   run_a8 conf;
   run_a9 conf;
   run_a10 conf;
-  run_a11 conf;
+  Experiment.chaos_sweep conf;
   run_a12 conf;
-  run_a13 conf;
-  run_a14 conf;
-  run_a15 conf;
-  run_a16 conf
+  Experiment.crash_matrix conf;
+  Experiment.integrity_matrix conf;
+  run_a15 None conf;
+  run_a16 None conf
 
-let cmd name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (fun fo obs conf -> with_faults fo (with_obs obs f) conf)
-      $ fault_term $ obs_term $ conf_term)
+(* The experiment [f] under the fault, observability and scale flags
+   every subcommand shares. *)
+let term f =
+  Term.(
+    const (fun f fo obs conf -> with_faults fo (with_obs obs f) conf)
+    $ f $ fault_term $ obs_term $ conf_term)
+
+let cmd name doc f = Cmd.v (Cmd.info name ~doc) (term (Term.const f))
+
+(* A subcommand with one optional output file, [--option FILE]. *)
+let cmd_file name doc option file_doc f =
+  let file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ option ] ~docv:"FILE" ~doc:file_doc)
+  in
+  Cmd.v (Cmd.info name ~doc) (term Term.(const f $ file))
 
 let () =
-  let default =
-    Term.(
-      const (fun fo obs conf -> with_faults fo (with_obs obs run_all) conf)
-      $ fault_term $ obs_term $ conf_term)
-  in
+  let default = term (Term.const run_all) in
   let info =
     Cmd.info "dpa_bench" ~version:"1.0"
       ~doc:
@@ -614,61 +567,27 @@ let () =
             cmd "a8" "Adaptive FMM on clustered input" run_a8;
             cmd "a9" "Cache locality of iteration order" run_a9;
             cmd "a10" "Hot-spot with link serialization" run_a10;
-            cmd "a11" "Chaos sweep: faults vs goodput and correctness" run_a11;
+            cmd "a11" "Chaos sweep: faults vs goodput and correctness"
+              Experiment.chaos_sweep;
             cmd "a12" "Adaptive strip size and adaptive RTO vs static" run_a12;
-            cmd "a13" "Crash-restart chaos matrix across workloads" run_a13;
+            cmd "a13" "Crash-restart chaos matrix across workloads"
+              Experiment.crash_matrix;
             cmd "a14"
               "End-to-end integrity matrix: wire corruption and torn WAL \
                writes across workloads"
-              run_a14;
-            (let json =
-               Arg.(
-                 value
-                 & opt (some string) None
-                 & info [ "json" ] ~docv:"FILE"
-                     ~doc:"Also write the matrix as JSON.")
-             in
-             Cmd.v
-               (Cmd.info "a15"
-                  ~doc:
-                    "Communication-optimality matrix: tree-routed \
-                     aggregation and Morton repartitioning vs the \
-                     flat/static baseline")
-               Term.(
-                 const (fun json fo obs conf ->
-                     with_faults fo (with_obs obs (run_a15 ~json)) conf)
-                 $ json $ fault_term $ obs_term $ conf_term));
-            (let json =
-               Arg.(
-                 value
-                 & opt (some string) None
-                 & info [ "json" ] ~docv:"FILE"
-                     ~doc:"Also write the sweep as JSON (BENCH_scale.json).")
-             in
-             Cmd.v
-               (Cmd.info "a16"
-                  ~doc:
-                    "Flat-heap scale sweep: the allocation gate against the \
-                     boxed-heap baseline, then distributed BH force phases \
-                     up to a million bodies on 256 nodes (--scale full)")
-               Term.(
-                 const (fun json fo obs conf ->
-                     with_faults fo (with_obs obs (run_a16 ~json)) conf)
-                 $ json $ fault_term $ obs_term $ conf_term));
-            (let csv =
-               Arg.(
-                 value
-                 & opt (some string) None
-                 & info [ "csv" ] ~docv:"FILE"
-                     ~doc:"Also write the DPA run's raw trace as CSV.")
-             in
-             Cmd.v
-               (Cmd.info "timeline"
-                  ~doc:"Per-node utilization timelines (Barnes-Hut)")
-               Term.(
-                 const (fun csv fo obs conf ->
-                     with_faults fo (with_obs obs (run_timeline ~csv)) conf)
-                 $ csv $ fault_term $ obs_term $ conf_term));
+              Experiment.integrity_matrix;
+            cmd_file "a15"
+              "Communication-optimality matrix: tree-routed aggregation and \
+               Morton repartitioning vs the flat/static baseline"
+              "json" "Also write the matrix as JSON." run_a15;
+            cmd_file "a16"
+              "Flat-heap scale sweep: the allocation gate against the \
+               boxed-heap baseline, then distributed BH force phases up to \
+               a million bodies on 256 nodes (--scale full)"
+              "json" "Also write the sweep as JSON (BENCH_scale.json)."
+              run_a16;
+            cmd_file "timeline" "Per-node utilization timelines (Barnes-Hut)"
+              "csv" "Also write the DPA run's raw trace as CSV." run_timeline;
             cmd "calibrate" "Compare modelled sequential times to the paper"
               run_calibrate;
             cmd "all" "Run every experiment" run_all;

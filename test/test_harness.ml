@@ -206,6 +206,76 @@ let test_hotspot () =
   Alcotest.(check bool) "serialization hurts pipeline more than dpa" true
     (t "DPA, serialized ingress" <= t "Pipeline, serialized ingress" +. 1e-9)
 
+(* A synthetic workload whose result is its fault plan's drop rate: only
+   the schedule that drops anything diverges from the fault-free
+   reference. *)
+let drop_rate faults =
+  let r = match faults with None -> 0. | Some s -> s.Dpa_sim.Fault.drop in
+  (r, r)
+
+let test_matrix_divergence () =
+  let rows =
+    Matrix.run ~name:"synthetic" ~elapsed_ns:(fun _ -> 0)
+      [
+        Matrix.workload "synthetic" drop_rate
+          [
+            Matrix.off;
+            Matrix.fixed "dup" "dup=0.5";
+            Matrix.fixed "drop" "drop=0.5";
+          ];
+      ]
+  in
+  let columns =
+    [
+      Matrix.schedule_label "SCHEDULE";
+      Matrix.float "DROP" "drop" (Printf.sprintf "%.1f") Fun.id;
+      Matrix.result "RESULT";
+    ]
+  in
+  let lines = String.split_on_char '\n' (Matrix.render columns rows) in
+  Alcotest.(check (list string))
+    "table"
+    [
+      "synthetic";
+      "SCHEDULE  DROP  RESULT       ";
+      "--------  ----  -------------";
+      "off       0.0   bit-identical";
+      "dup       0.0   bit-identical";
+      "drop      0.5   DIVERGED     ";
+      "";
+      "";
+    ]
+    lines;
+  Alcotest.(check int) "diverged" 1 (Matrix.diverged rows);
+  let bit_identical =
+    match Matrix.json columns rows with
+    | Dpa_obs.Json.Obj [ ("rows", Dpa_obs.Json.List [ Dpa_obs.Json.Obj row ]) ]
+      -> (
+      match List.assoc "cells" row with
+      | Dpa_obs.Json.List cells ->
+        List.map
+          (function
+            | Dpa_obs.Json.Obj fields -> List.assoc "bit_identical" fields
+            | _ -> Alcotest.fail "cell is not an object")
+          cells
+      | _ -> Alcotest.fail "cells is not a list")
+    | _ -> Alcotest.fail "unexpected JSON shape"
+  in
+  Alcotest.(check bool) "json bit_identical" true
+    (bit_identical
+    = Dpa_obs.Json.[ Bool true; Bool true; Bool false ])
+
+let test_matrix_bad_spec () =
+  Alcotest.check_raises "names the matrix"
+    (Invalid_argument "synthetic: Fault: drop must be in [0,1), got 2")
+    (fun () ->
+      ignore
+        (Matrix.run ~name:"synthetic" ~elapsed_ns:(fun _ -> 0)
+           [
+             Matrix.workload "synthetic" drop_rate
+               [ Matrix.fixed "bad" "drop=2" ];
+           ]))
+
 let suites =
   [
     ( "harness.table",
@@ -238,5 +308,10 @@ let suites =
         Alcotest.test_case "upward sweep" `Quick test_upward_sweep;
         Alcotest.test_case "afmm sweep" `Quick test_afmm_sweep;
         Alcotest.test_case "hotspot" `Quick test_hotspot;
+      ] );
+    ( "harness.matrix",
+      [
+        Alcotest.test_case "divergence" `Quick test_matrix_divergence;
+        Alcotest.test_case "bad spec" `Quick test_matrix_bad_spec;
       ] );
   ]
