@@ -105,43 +105,82 @@ let chrome_trace sink =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let jsonl_event (ev : Sink.event) =
-  let kind =
-    match ev.Sink.kind with
-    | Sink.Span -> "span"
-    | Sink.Instant -> "instant"
-    | Sink.Counter -> "counter"
-  in
-  Json.Obj
-    [
-      ("kind", Json.Str kind);
-      ("name", Json.Str ev.Sink.name);
-      ("cat", Json.Str ev.Sink.cat);
-      ("node", Json.Int ev.Sink.node);
-      ("ts", Json.Int ev.Sink.ts);
-      ("dur", Json.Int ev.Sink.dur);
-      ("args", args_json ev.Sink.args);
-    ]
+(* --- JSONL ----------------------------------------------------------- *)
+
+let add_arg buf = function
+  | Sink.Int i -> Json.int_to buf i
+  | Sink.Float f -> Json.float_to buf f
+  | Sink.Str s -> Json.escape_to buf s
+
+let rec add_args buf ~first = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    if not first then Buffer.add_char buf ',';
+    Json.escape_to buf k;
+    Buffer.add_char buf ':';
+    add_arg buf v;
+    add_args buf ~first:false rest
+
+(* One event as one JSON object, written straight into [buf] with the
+   scalar printers of [Json]: the bytes [Json.to_buffer] prints for the
+   object {kind, name, cat, node, ts, dur, args}, without building it. *)
+let jsonl_to buf (ev : Sink.event) =
+  Buffer.add_string buf
+    (match ev.Sink.kind with
+    | Sink.Span -> "{\"kind\":\"span\",\"name\":"
+    | Sink.Instant -> "{\"kind\":\"instant\",\"name\":"
+    | Sink.Counter -> "{\"kind\":\"counter\",\"name\":");
+  Json.escape_to buf ev.Sink.name;
+  Buffer.add_string buf ",\"cat\":";
+  Json.escape_to buf ev.Sink.cat;
+  Buffer.add_string buf ",\"node\":";
+  Json.int_to buf ev.Sink.node;
+  Buffer.add_string buf ",\"ts\":";
+  Json.int_to buf ev.Sink.ts;
+  Buffer.add_string buf ",\"dur\":";
+  Json.int_to buf ev.Sink.dur;
+  Buffer.add_string buf ",\"args\":{";
+  add_args buf ~first:true ev.Sink.args;
+  Buffer.add_string buf "}}"
 
 let jsonl sink =
   let buf = Buffer.create 65536 in
   List.iter
     (fun ev ->
-      Json.to_buffer buf (jsonl_event ev);
+      jsonl_to buf ev;
       Buffer.add_char buf '\n')
     (Sink.events sink);
   Buffer.contents buf
 
-let jsonl_line ev = Json.to_string (jsonl_event ev)
+let jsonl_line ev =
+  let buf = Buffer.create 256 in
+  jsonl_to buf ev;
+  Buffer.contents buf
+
+(* The writer's lines collect in one reused buffer that goes to the channel
+   whenever it passes [chunk] bytes, and on every flush and close. *)
+let chunk = 1 lsl 16
 
 let jsonl_writer oc =
+  let buf = Buffer.create (2 * chunk) in
+  let drain () =
+    Buffer.output_buffer oc buf;
+    Buffer.clear buf
+  in
   {
     Sink.write =
       (fun ev ->
-        output_string oc (jsonl_line ev);
-        output_char oc '\n');
-    Sink.flush = (fun () -> flush oc);
-    Sink.close = (fun () -> close_out oc);
+        jsonl_to buf ev;
+        Buffer.add_char buf '\n';
+        if Buffer.length buf >= chunk then drain ());
+    Sink.flush =
+      (fun () ->
+        drain ();
+        flush oc);
+    Sink.close =
+      (fun () ->
+        drain ();
+        close_out oc);
   }
 
 let metrics_json sink =

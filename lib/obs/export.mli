@@ -20,14 +20,20 @@ val chrome_trace : Sink.t -> string
     message arrows between the node tracks. *)
 
 val jsonl : Sink.t -> string
+(** {!Sink.events}, one {!jsonl_line} per event, each ended by a newline. *)
 
 val jsonl_line : Sink.event -> string
-(** One event as a single compact JSON line (no trailing newline). *)
+(** One event as a single compact JSON line (no trailing newline): the
+    object [{"kind", "name", "cat", "node", "ts", "dur", "args"}], printed
+    field by field with {!Json}'s scalar printers — byte for byte what
+    {!Json.to_string} renders for that object, without building it. *)
 
 val jsonl_writer : out_channel -> Sink.writer
-(** Line-buffered JSONL writer: each event becomes one line at flush time,
-    [flush] pushes the channel buffer to the OS, [close] closes the
-    channel. Attach with {!Sink.attach_writer}. *)
+(** Chunked JSONL writer: each event the sink hands over becomes one line
+    in a buffer the writer reuses, which goes to the channel whenever it
+    passes 64 KiB. [flush] drains the buffer and pushes the channel to the
+    OS; [close] drains it and closes the channel. The bytes are exactly
+    {!jsonl}'s. Attach with {!Sink.attach_writer}. *)
 
 val metrics_json : Sink.t -> Json.t
 

@@ -21,7 +21,7 @@ type writer = {
 
 type t = {
   spans : event Dpa_util.Dynarray.t;
-  ring : event option array;
+  ring : event array;  (* slots never written hold [vacant] *)
   capacity : int;
   mutable written : int;  (* total ring events ever stored *)
   mutable ring_dropped : int;  (* overwritten with no writer to capture them *)
@@ -41,11 +41,15 @@ type t = {
 
 let default_capacity = 1 lsl 18
 
+let vacant =
+  { kind = Instant; name = ""; cat = ""; node = 0; ts = 0; dur = 0; args = [];
+    seq = -1 }
+
 let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Sink.create: capacity must be positive";
   {
     spans = Dpa_util.Dynarray.create ();
-    ring = Array.make capacity None;
+    ring = Array.make capacity vacant;
     capacity;
     written = 0;
     ring_dropped = 0;
@@ -82,22 +86,37 @@ let cat_enabled t cat =
 (* Every accepted event gets the next sequence number; rejected events are
    invisible, so they must not consume one (the JSONL stream would show
    gaps for no reason). *)
-let stamp t ev =
-  let ev = { ev with seq = t.next_seq } in
-  t.next_seq <- t.next_seq + 1;
-  (match t.writer with
-  | None -> ()
-  | Some _ -> ignore (Dpa_util.Dynarray.add t.pending ev));
-  ev
+let next_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
 
 let span ?(args = []) t ~cat ~name ~node ~ts ~dur =
   if cat_enabled t cat then begin
-    let ev =
-      stamp t { kind = Span; name; cat; node; ts; dur; args; seq = 0 }
-    in
+    let ev = { kind = Span; name; cat; node; ts; dur; args; seq = next_seq t } in
+    (match t.writer with
+    | Some _ -> ignore (Dpa_util.Dynarray.add t.pending ev)
+    | None -> ());
     ignore (Dpa_util.Dynarray.add t.spans ev);
     t.span_count <- t.span_count + 1
   end
+  else t.filtered <- t.filtered + 1
+
+let push_ring t ev =
+  (* An overwrite only loses the event when no writer captured it at
+     emission: with a stream attached the ring is just the in-memory
+     flight recorder, not the artifact. *)
+  (match t.writer with
+  | Some _ -> ignore (Dpa_util.Dynarray.add t.pending ev)
+  | None ->
+    if t.written >= t.capacity then t.ring_dropped <- t.ring_dropped + 1);
+  t.ring.(t.written mod t.capacity) <- ev;
+  t.written <- t.written + 1
+
+let instant ?(args = []) t ~cat ~name ~node ~ts =
+  if (not t.spans_only) && cat_enabled t cat then
+    push_ring t
+      { kind = Instant; name; cat; node; ts; dur = 0; args; seq = next_seq t }
   else t.filtered <- t.filtered + 1
 
 (* Counter samples bypass the category filter: their "counter" category is
@@ -105,35 +124,20 @@ let span ?(args = []) t ~cat ~name ~node ~ts ~dur =
    real categories used to silently drop every sampled counter track.
    [spans_only] still drops them — that knob's contract is spans and
    nothing else. *)
-let push_ring t ev =
-  if t.spans_only || (ev.kind <> Counter && not (cat_enabled t ev.cat)) then
-    t.filtered <- t.filtered + 1
-  else begin
-    let ev = stamp t ev in
-    (* An overwrite only loses the event when no writer captured it at
-       emission: with a stream attached the ring is just the in-memory
-       flight recorder, not the artifact. *)
-    if t.written >= t.capacity && t.writer = None then
-      t.ring_dropped <- t.ring_dropped + 1;
-    t.ring.(t.written mod t.capacity) <- Some ev;
-    t.written <- t.written + 1
-  end
-
-let instant ?(args = []) t ~cat ~name ~node ~ts =
-  push_ring t { kind = Instant; name; cat; node; ts; dur = 0; args; seq = 0 }
-
 let counter t ~name ~node ~ts value =
-  push_ring t
-    {
-      kind = Counter;
-      name;
-      cat = "counter";
-      node;
-      ts;
-      dur = 0;
-      args = [ ("value", Int value) ];
-      seq = 0;
-    }
+  if not t.spans_only then
+    push_ring t
+      {
+        kind = Counter;
+        name;
+        cat = "counter";
+        node;
+        ts;
+        dur = 0;
+        args = [ ("value", Int value) ];
+        seq = next_seq t;
+      }
+  else t.filtered <- t.filtered + 1
 
 let set_meta t key doc =
   t.meta_docs <- (key, doc) :: List.remove_assoc key t.meta_docs
@@ -145,16 +149,16 @@ let ring_events t =
      entry holds the oldest survivor. *)
   let live = min t.written t.capacity in
   let first = t.written - live in
-  List.init live (fun i ->
-      match t.ring.((first + i) mod t.capacity) with
-      | Some ev -> ev
-      | None -> assert false)
+  List.init live (fun i -> t.ring.((first + i) mod t.capacity))
 
 (* Spans are recorded at close (their [ts] is the open time), so neither
    the span list nor its concatenation with the ring is time-ordered.
    (ts, seq) is unique per event, so a plain sort both orders by time and
-   tie-breaks by emission order. *)
-let by_time (a : event) (b : event) = compare (a.ts, a.seq) (b.ts, b.seq)
+   tie-breaks by emission order. Int compares only: a tuple compare
+   allocates both tuples and calls the polymorphic compare. *)
+let by_time (a : event) (b : event) =
+  if a.ts <> b.ts then compare (a.ts : int) b.ts
+  else compare (a.seq : int) b.seq
 
 let events t =
   List.sort by_time (Dpa_util.Dynarray.to_list t.spans @ ring_events t)
@@ -179,9 +183,12 @@ let flush_writer t =
          at quiescent points (phase barriers, teardown), where no later
          event can carry an earlier timestamp, so the concatenation of
          segments stays time-ordered. *)
-      let evs = List.sort by_time (Dpa_util.Dynarray.to_list t.pending) in
+      let evs = Dpa_util.Dynarray.to_array t.pending in
       Dpa_util.Dynarray.clear t.pending;
-      List.iter w.write evs;
+      (* Merge sort, faster here than [Array.sort]'s heap sort; the keys
+         are unique, so stability does not matter. *)
+      Array.stable_sort by_time evs;
+      Array.iter w.write evs;
       t.streamed <- t.streamed + n
     end;
     w.flush ()

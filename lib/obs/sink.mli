@@ -39,8 +39,8 @@ type writer = {
   flush : unit -> unit;  (** make everything written so far durable *)
   close : unit -> unit;  (** release the underlying resource *)
 }
-(** A streaming consumer (see {!attach_writer}): typically a line-buffered
-    JSONL emitter over an [out_channel] ({!Export.jsonl_writer}). *)
+(** A streaming consumer (see {!attach_writer}): typically a chunked JSONL
+    emitter over an [out_channel] ({!Export.jsonl_writer}). *)
 
 type t
 

@@ -35,9 +35,11 @@ let iteri f t =
     f i t.data.(i)
   done
 
-let clear t =
-  t.data <- [||];
-  t.len <- 0
+(* Keeps the backing array: a buffer refilled after every clear does not
+   regrow from 8 each time. *)
+let clear t = t.len <- 0
+
+let to_array t = Array.sub t.data 0 t.len
 
 let to_list t =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in

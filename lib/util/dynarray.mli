@@ -12,4 +12,10 @@ val set : 'a t -> int -> 'a -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val clear : 'a t -> unit
+(** Empties [t] but keeps its capacity: the old elements stay reachable
+    until later [add]s overwrite them. *)
+
+val to_array : 'a t -> 'a array
+(** A fresh array of the elements, in index order. *)
+
 val to_list : 'a t -> 'a list

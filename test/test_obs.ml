@@ -409,6 +409,127 @@ let test_jsonl_roundtrip_kinds () =
         ev.Sink.args)
     evs
 
+(* The JSONL line as a [Json.t] tree: the object the exporter printed
+   through [Json.to_string] before it wrote its lines straight into a
+   buffer. Kept as the oracle for the direct encoder. *)
+let jsonl_event_oracle (ev : Sink.event) =
+  let kind =
+    match ev.Sink.kind with
+    | Sink.Span -> "span"
+    | Sink.Instant -> "instant"
+    | Sink.Counter -> "counter"
+  in
+  let arg = function
+    | Sink.Int i -> Json.Int i
+    | Sink.Float f -> Json.Float f
+    | Sink.Str s -> Json.Str s
+  in
+  Json.Obj
+    [
+      ("kind", Json.Str kind);
+      ("name", Json.Str ev.Sink.name);
+      ("cat", Json.Str ev.Sink.cat);
+      ("node", Json.Int ev.Sink.node);
+      ("ts", Json.Int ev.Sink.ts);
+      ("dur", Json.Int ev.Sink.dur);
+      ("args", Json.Obj (List.map (fun (k, v) -> (k, arg v)) ev.Sink.args));
+    ]
+
+(* Strings full of the bytes JSON must escape, plus non-ASCII bytes. *)
+let awkward_string =
+  QCheck.Gen.(
+    string_size ~gen:
+      (oneof
+         [
+           oneofl
+             [ '"'; '\\'; '\n'; '\t'; '\b'; '\012'; '\r'; '\000'; '\001';
+               '\x1f'; '\x7f'; '\x80'; '\xc3'; '\xa9'; '\xff'; '/' ];
+           char_range 'a' 'z';
+           char_range '\000' '\255';
+         ])
+      (int_range 0 12))
+
+let awkward_int =
+  QCheck.Gen.(oneof [ oneofl [ 0; -1; 1; max_int; min_int ]; int ])
+
+let awkward_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ 0.; -0.; 1.; -3.; 1e15; 2.5; nan; infinity; neg_infinity; 1e300;
+            1e-300 ];
+        float;
+      ])
+
+let awkward_event =
+  QCheck.Gen.(
+    let arg =
+      oneof
+        [
+          map (fun i -> Sink.Int i) awkward_int;
+          map (fun f -> Sink.Float f) awkward_float;
+          map (fun s -> Sink.Str s) awkward_string;
+        ]
+    in
+    let* kind = oneofl [ Sink.Span; Sink.Instant; Sink.Counter ] in
+    let* name = awkward_string and* cat = awkward_string in
+    let* node = awkward_int and* ts = awkward_int and* dur = awkward_int in
+    let* args = list_size (int_range 0 4) (pair awkward_string arg) in
+    let* seq = nat in
+    return { Sink.kind; name; cat; node; ts; dur; args; seq })
+
+let qcheck_jsonl_line_matches_tree =
+  QCheck.Test.make ~count:1000
+    ~name:"jsonl: direct encoder prints the Json tree's bytes"
+    (QCheck.make ~print:(fun ev -> Json.to_string (jsonl_event_oracle ev))
+       awkward_event)
+    (fun ev ->
+      let line = Export.jsonl_line ev in
+      let expected = Json.to_string (jsonl_event_oracle ev) in
+      if line <> expected then
+        QCheck.Test.fail_reportf "encoder:  %s\noracle:   %s" line expected;
+      match Json.parse line with
+      | Ok _ -> true
+      | Error e -> QCheck.Test.fail_reportf "%s does not parse: %s" line e)
+
+(* The shared scalar printers against the renderings they replaced:
+   [string_of_int] and a byte-at-a-time escape. *)
+let reference_escape s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let qcheck_scalar_printers =
+  QCheck.Test.make ~count:1000
+    ~name:"json: int and string printers match their reference renderings"
+    (QCheck.make
+       ~print:(fun (i, s) -> Printf.sprintf "(%d, %S)" i s)
+       QCheck.Gen.(pair awkward_int awkward_string))
+    (fun (i, s) ->
+      let render f x =
+        let buf = Buffer.create 16 in
+        f buf x;
+        Buffer.contents buf
+      in
+      render Json.int_to i = string_of_int i
+      && render Json.escape_to s = reference_escape s)
+
 (* Tokenized rows of a profile whose first column is [name]. *)
 let profile_rows profile name =
   String.split_on_char '\n' profile
@@ -490,6 +611,56 @@ let test_writer_matches_snapshot_export () =
   Alcotest.(check bool) "stream equals snapshot export" true
     (Buffer.contents buf = Export.jsonl sink)
 
+let test_writer_matches_snapshot_multi_segment () =
+  (* Two labelled phases on one engine with a counter sampler: the pending
+     buffer is flushed at every barrier and refilled after each flush, and
+     the concatenated segments must still be exactly the snapshot export. *)
+  let sink = Sink.create () in
+  Sink.set_sample_period sink 20_000;
+  let buf = Buffer.create 65536 in
+  let segments = ref 0 and last = ref 0 in
+  Sink.attach_writer sink
+    {
+      Sink.write =
+        (fun ev ->
+          Buffer.add_string buf (Export.jsonl_line ev);
+          Buffer.add_char buf '\n');
+      Sink.flush =
+        (fun () ->
+          if Sink.streamed sink > !last then incr segments;
+          last := Sink.streamed sink);
+      Sink.close = (fun () -> ());
+    };
+  let bodies = Dpa_bh.Plummer.generate ~n:200 ~seed:17 in
+  let tree =
+    Dpa_bh.Bh_global.distribute (Dpa_bh.Octree.build bodies) ~nnodes:3
+  in
+  let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:3) in
+  Dpa_sim.Engine.set_sink engine (Some sink);
+  List.iter
+    (fun variant ->
+      let (_ : Dpa_bh.Bh_run.phase_result) =
+        Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
+          ~params:Dpa_bh.Bh_force.default_params variant
+      in
+      ())
+    [
+      Dpa_baselines.Variant.dpa ~strip_size:16 ();
+      Dpa_baselines.Variant.Prefetch { strip_size = 16 };
+    ];
+  Sink.close_writer sink;
+  let stream = Buffer.contents buf in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (needle ^ " streamed") true (contains stream needle))
+    [ "\"bh-force\""; "\"bh-force-prefetch\""; "\"kind\":\"counter\"" ];
+  Alcotest.(check bool) "at least three flushed segments" true (!segments >= 3);
+  Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
+  Alcotest.(check int) "streamed everything emitted" (Sink.emitted sink)
+    (Sink.streamed sink);
+  Alcotest.(check bool) "stream equals snapshot export" true
+    (stream = Export.jsonl sink)
+
 let test_observing_is_transparent () =
   let off = run_bh ~sink:None () in
   let _, on_ = Lazy.force observed_bh in
@@ -545,6 +716,7 @@ let suites =
         Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
         Alcotest.test_case "member" `Quick test_json_member;
         QCheck_alcotest.to_alcotest qcheck_json_string_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_scalar_printers;
       ] );
     ( "obs.metrics",
       [
@@ -574,12 +746,15 @@ let suites =
         Alcotest.test_case "jsonl and profile" `Quick test_jsonl_and_profile;
         Alcotest.test_case "jsonl round-trips every kind" `Quick
           test_jsonl_roundtrip_kinds;
+        QCheck_alcotest.to_alcotest qcheck_jsonl_line_matches_tree;
         Alcotest.test_case "profile mean with uneven nodes" `Quick
           test_profile_mean_uneven_nodes;
         Alcotest.test_case "profile strip-only rows" `Quick
           test_profile_strip_only_rows;
         Alcotest.test_case "writer matches snapshot export" `Quick
           test_writer_matches_snapshot_export;
+        Alcotest.test_case "writer matches snapshot export, many segments"
+          `Quick test_writer_matches_snapshot_multi_segment;
         Alcotest.test_case "observing is transparent" `Quick
           test_observing_is_transparent;
       ] );

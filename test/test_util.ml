@@ -71,6 +71,25 @@ let test_dynarray_iter_order () =
   Dynarray.iter (fun x -> acc := x :: !acc) d;
   Alcotest.(check (list int)) "order" [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ] !acc
 
+let test_dynarray_clear_refill () =
+  (* [clear] keeps the capacity; the refilled array must not see the old
+     elements past its new length. *)
+  let d = Dynarray.create () in
+  for i = 0 to 19 do
+    ignore (Dynarray.add d i)
+  done;
+  Dynarray.clear d;
+  Alcotest.(check int) "empty after clear" 0 (Dynarray.length d);
+  Alcotest.check_raises "old slots out of bounds"
+    (Invalid_argument "Dynarray: index out of bounds")
+    (fun () -> ignore (Dynarray.get d 0));
+  Alcotest.(check int) "first index reused" 0 (Dynarray.add d 100);
+  ignore (Dynarray.add d 101);
+  Alcotest.(check (array int)) "to_array sees the refill only" [| 100; 101 |]
+    (Dynarray.to_array d);
+  Alcotest.(check (list int)) "to_list agrees" [ 100; 101 ]
+    (Dynarray.to_list d)
+
 module Itbl = Hashtbl.Make (Int)
 module L = Lru.Make (Itbl)
 
@@ -162,6 +181,8 @@ let suites =
         Alcotest.test_case "basic" `Quick test_dynarray_basic;
         Alcotest.test_case "bounds" `Quick test_dynarray_bounds;
         Alcotest.test_case "iter order" `Quick test_dynarray_iter_order;
+        Alcotest.test_case "clear then refill" `Quick
+          test_dynarray_clear_refill;
       ] );
     ( "util.lru",
       [
