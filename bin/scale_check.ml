@@ -4,8 +4,10 @@
    factor is arithmetically consistent and clears the committed threshold,
    and every scale row reports non-negative wall/allocation/GC/wire
    numbers — and then asserts the flat heap's hot-path contract directly:
-   a strip-mined phase of local reads must not allocate per read
-   (docs/PERFORMANCE.md).
+   a strip-mined phase of local reads must not allocate per read, nor
+   must a remote read that hits the alignment buffer, and a remote read
+   merged onto an outstanding request allocates only its waiter's cons
+   cell (docs/PERFORMANCE.md).
 
    Usage: scale_check BENCH_scale.json *)
 
@@ -158,8 +160,104 @@ let check_hot_path () =
      %.1f) over %d reads\n"
     per_read bound total_reads
 
+(* Remote reads, measured by difference so the phase's fixed costs (ctx
+   setup, requests, replies, strip boundaries) cancel: two runs of the
+   same phase that differ only in [extra] reads per item, all of them
+   align hits (a thread woken by its reply re-reads its pointer, which D
+   now holds) or all merges (a second pass over pointers the strip has
+   already requested). The difference per extra read is that read's cost
+   plus its dispatch: D and M allocate nothing once warm, except the cons
+   cell (3 words) that records a merged thread, and neither do dispatch
+   and the continuation. *)
+let check_remote () =
+  let nnodes = 2 and nobjs = 1024 in
+  let heaps = Dpa_heap.Heap.cluster ~nnodes in
+  let ptrs =
+    Array.init nobjs (fun slot ->
+        Dpa_heap.Heap.alloc heaps.(1)
+          ~floats:[| float_of_int slot |]
+          ~ptrs:[||])
+  in
+  (* A long poll quantum: the scheduler's per-quantum event and closures
+     would otherwise add ~0.5 words to each read, hiding what the read
+     itself allocates. *)
+  let machine =
+    Dpa_sim.Machine.make ~poll_quantum_ns:10_000_000 ~nodes:nnodes ()
+  in
+  let nitems = 256 and reads = 16 in
+  let k ctx _view = Dpa.Runtime.charge ctx 100 in
+  let rereads = ref 0 in
+  let k_reread ctx view =
+    for _ = 1 to !rereads do
+      Dpa.Runtime.read ctx view k
+    done
+  in
+  let run ~hits ~passes =
+    rereads := hits;
+    let engine = Dpa_sim.Engine.create machine in
+    let items node =
+      if node <> 0 then [||]
+      else
+        Array.init nitems (fun item ->
+            fun ctx ->
+              for _ = 1 to passes do
+                for r = 0 to reads - 1 do
+                  let h = ((item / 16) * 7919) + (r * 104729) in
+                  Dpa.Runtime.read ctx ptrs.(h mod nobjs) k_reread
+                done
+              done)
+    in
+    let w0 = Gc.minor_words () in
+    let _, stats =
+      Dpa.Runtime.run_phase ~engine ~heaps
+        ~config:(Dpa.Config.dpa ~strip_size:16 ())
+        ~items
+    in
+    let w1 = Gc.minor_words () in
+    (w1 -. w0, stats)
+  in
+  ignore (run ~hits:1 ~passes:1);
+  let per_extra ~what ~count base more =
+    let wb, sb = base () in
+    let wm, sm = more () in
+    let extra = count sm - count sb in
+    if extra <= 0 then fail "%s: the larger run made no extra reads" what;
+    (wm -. wb) /. float_of_int extra
+  in
+  let hit =
+    per_extra ~what:"align hits"
+      ~count:(fun s -> s.Dpa.Dpa_stats.align_hits)
+      (fun () -> run ~hits:4 ~passes:1)
+      (fun () -> run ~hits:8 ~passes:1)
+  in
+  let merge =
+    per_extra ~what:"merged reads"
+      ~count:(fun s -> s.Dpa.Dpa_stats.merge_hits)
+      (fun () -> run ~hits:0 ~passes:1)
+      (fun () -> run ~hits:0 ~passes:2)
+  in
+  (* Any allocation made per read is at least one 2-word block, so a
+     tenth of a word per read leaves room for growth of the ready ring
+     and nothing else. *)
+  let hit_bound = 0.1 and merge_bound = 3.1 in
+  if hit > hit_bound then
+    fail
+      "an align-hit read allocates %.2f words (bound %.1f): D's lookup \
+       allocates"
+      hit hit_bound;
+  if merge > merge_bound then
+    fail
+      "a merged read allocates %.2f words (bound %.1f: its 3-word waiter \
+       cell): M's lookup allocates"
+      merge merge_bound;
+  Printf.printf
+    "scale_check: an align-hit read allocates %.4f words (bound %.1f), a \
+     merged read %.4f (bound %.1f)\n"
+    hit hit_bound merge merge_bound
+
 let () =
   (match Sys.argv with
   | [| _; path |] -> check_json path
   | _ -> fail "usage: scale_check BENCH_scale.json");
-  check_hot_path ()
+  check_hot_path ();
+  check_remote ()

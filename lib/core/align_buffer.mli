@@ -5,8 +5,9 @@
 
     Views alias the owner's flat store ({!Dpa_heap.Heap.view}), so the
     buffer holds membership, not payload: a hit means the strip already
-    fetched the object and the read needs no wire traffic. No allocation
-    on the lookup or insert path. *)
+    fetched the object and the read needs no wire traffic. The set is a
+    {!Dpa_util.Int_tbl}: once warm, neither lookup nor insert allocates,
+    and {!clear} keeps the capacity. *)
 
 type t
 

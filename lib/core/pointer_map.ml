@@ -1,18 +1,23 @@
 open Dpa_heap
+module Int_tbl = Dpa_util.Int_tbl
 
 type 'k slot = { ptr : Gptr.t; mutable ks : 'k list (* reversed *); mutable count : int }
 
 type 'k t = {
-  tokens : (int, 'k slot) Hashtbl.t;
-  by_ptr : int Gptr.Tbl.t;  (* pointer -> outstanding token, reuse mode *)
+  tokens : 'k slot Int_tbl.t;
+  by_ptr : int Int_tbl.t;
+      (* pointer -> outstanding token (-1: none), reuse mode *)
+  none : 'k slot;  (* [tokens]' absent value *)
   mutable next_token : int;
   mutable waiters : int;
 }
 
 let create () =
+  let none = { ptr = Gptr.nil; ks = []; count = 0 } in
   {
-    tokens = Hashtbl.create 64;
-    by_ptr = Gptr.Tbl.create 64;
+    tokens = Int_tbl.create ~absent:none;
+    by_ptr = Int_tbl.create ~absent:(-1);
+    none;
     next_token = 0;
     waiters = 0;
   }
@@ -20,51 +25,61 @@ let create () =
 let fresh t ptr k =
   let token = t.next_token in
   t.next_token <- token + 1;
-  Hashtbl.replace t.tokens token { ptr; ks = [ k ]; count = 1 };
+  Int_tbl.replace t.tokens token { ptr; ks = [ k ]; count = 1 };
   token
 
-let register t ~reuse ptr k =
+let register t ~reuse (ptr : Gptr.t) k =
   t.waiters <- t.waiters + 1;
-  if reuse then
-    match Gptr.Tbl.find_opt t.by_ptr ptr with
-    | Some token ->
-      let slot = Hashtbl.find t.tokens token in
+  if reuse then begin
+    let token = Int_tbl.find t.by_ptr (ptr :> int) in
+    if token >= 0 then begin
+      let slot = Int_tbl.find t.tokens token in
       slot.ks <- k :: slot.ks;
       slot.count <- slot.count + 1;
       `Merged
-    | None ->
+    end
+    else begin
       let token = fresh t ptr k in
-      Gptr.Tbl.replace t.by_ptr ptr token;
+      Int_tbl.replace t.by_ptr (ptr :> int) token;
       `New_request token
+    end
+  end
   else `New_request (fresh t ptr k)
 
+(* Remove a token's slot ([t.none] if unknown) and its pointer's entry. *)
+let consume t token =
+  let slot = Int_tbl.take t.tokens token in
+  if slot != t.none then begin
+    let p = (slot.ptr :> int) in
+    if Int_tbl.find t.by_ptr p = token then Int_tbl.remove t.by_ptr p;
+    t.waiters <- t.waiters - slot.count
+  end;
+  slot
+
+let take_into t token ring =
+  let slot = consume t token in
+  if slot != t.none then Ready_ring.push_rev ring slot.ptr slot.ks slot.count;
+  slot.ptr
+
 let take_opt t token =
-  match Hashtbl.find_opt t.tokens token with
-  | None -> None
-  | Some slot ->
-    Hashtbl.remove t.tokens token;
-    (match Gptr.Tbl.find_opt t.by_ptr slot.ptr with
-    | Some tok when tok = token -> Gptr.Tbl.remove t.by_ptr slot.ptr
-    | Some _ | None -> ());
-    t.waiters <- t.waiters - slot.count;
-    Some (slot.ptr, List.rev slot.ks)
+  let slot = consume t token in
+  if slot == t.none then None else Some (slot.ptr, List.rev slot.ks)
 
 let take t token =
   match take_opt t token with None -> raise Not_found | Some r -> r
 
 let find_ptr t token =
-  match Hashtbl.find_opt t.tokens token with
-  | None -> None
-  | Some slot -> Some slot.ptr
+  let slot = Int_tbl.find t.tokens token in
+  if slot == t.none then None else Some slot.ptr
 
 let fold_outstanding t f acc =
-  Hashtbl.fold (fun token slot acc -> f token slot.ptr acc) t.tokens acc
+  Int_tbl.fold (fun token slot acc -> f token slot.ptr acc) t.tokens acc
 
-let outstanding t = Hashtbl.length t.tokens
+let outstanding t = Int_tbl.length t.tokens
 let waiters t = t.waiters
-let is_empty t = Hashtbl.length t.tokens = 0
+let is_empty t = Int_tbl.length t.tokens = 0
 
 let clear t =
-  Hashtbl.reset t.tokens;
-  Gptr.Tbl.reset t.by_ptr;
+  Int_tbl.clear t.tokens;
+  Int_tbl.clear t.by_ptr;
   t.waiters <- 0

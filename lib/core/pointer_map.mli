@@ -5,7 +5,11 @@
     pointer that is already being fetched are merged onto the existing token
     (the runtime's deduplication, which makes message aggregation and data
     reuse possible). With [reuse] off every registration gets a fresh token
-    and triggers its own request. *)
+    and triggers its own request.
+
+    Both tables — token to waiters and, with [reuse], pointer to token —
+    are {!Dpa_util.Int_tbl}s: a warm lookup allocates nothing, so a merged
+    {!register} allocates only the cons cell that records its thread. *)
 
 type 'k t
 
@@ -16,6 +20,12 @@ val register :
 (** Record a thread waiting on a pointer. [`New_request token] means the
     caller must issue a fetch carrying [token]; [`Merged] means one is
     already in flight. *)
+
+val take_into : 'k t -> int -> 'k Ready_ring.t -> Dpa_heap.Gptr.t
+(** Consume a token on reply arrival, pushing its waiting threads onto the
+    ring in registration order ({!Ready_ring.push_rev}: no list is
+    copied). Returns the token's pointer, or {!Dpa_heap.Gptr.nil} for an
+    unknown token — which then pushes nothing. *)
 
 val take : 'k t -> int -> Dpa_heap.Gptr.t * 'k list
 (** Consume a token on reply arrival: returns the pointer and the waiting

@@ -41,6 +41,27 @@ let push t ptr k =
   t.ks.(i) <- k;
   t.len <- t.len + 1
 
+(* Fill slots [i], [i - 1], ... with the list's elements in list order,
+   so a reversed list lands back to front in its original order, never
+   below the live entries. Returns the index below the last slot
+   written. *)
+let rec fill_rev t ptr mask i = function
+  | [] -> i
+  | k :: rest ->
+    if i < t.len then invalid_arg "Ready_ring.push_rev: wrong length";
+    let j = (t.head + i) land mask in
+    t.ptrs.(j) <- ptr;
+    t.ks.(j) <- k;
+    fill_rev t ptr mask (i - 1) rest
+
+let push_rev t ptr ks n =
+  while t.len + n > Array.length t.ptrs do
+    grow t
+  done;
+  let last = fill_rev t ptr (Array.length t.ptrs - 1) (t.len + n - 1) ks in
+  if last <> t.len - 1 then invalid_arg "Ready_ring.push_rev: wrong length";
+  t.len <- t.len + n
+
 let head_ptr t =
   if t.len = 0 then invalid_arg "Ready_ring.head_ptr: empty";
   t.ptrs.(t.head)

@@ -13,6 +13,12 @@ val length : 'k t -> int
 val is_empty : 'k t -> bool
 val push : 'k t -> Dpa_heap.Gptr.t -> 'k -> unit
 
+val push_rev : 'k t -> Dpa_heap.Gptr.t -> 'k list -> int -> unit
+(** [push_rev t ptr ks n] pushes the [n] threads of [ks], all waiting on
+    [ptr], in the reverse of list order: a list built by consing arrives
+    oldest first, with no reversed copy. Raises [Invalid_argument] if [ks]
+    does not have [n] elements. *)
+
 val head_ptr : 'k t -> Dpa_heap.Gptr.t
 (** Pointer of the oldest entry. Raises [Invalid_argument] when empty. *)
 

@@ -21,7 +21,7 @@ type obs = {
   c_vol : Dpa_obs.Metrics.counter array;  (* request bytes per destination *)
   c_reply : Dpa_obs.Metrics.counter;  (* bulk-reply bytes *)
   c_retry : Dpa_obs.Metrics.counter;  (* timeout-driven request re-issues *)
-  issued : (int, int) Hashtbl.t;  (* token -> issue timestamp *)
+  issued : int Dpa_util.Int_tbl.t;  (* token -> issue timestamp (-1: none) *)
   mutable strip_open : bool;
   mutable strip_start : int;
   mutable strip_id : int;
@@ -31,7 +31,8 @@ type obs = {
      lower bound — each unique remote object it touched, fetched exactly
      once at its footprint, plus each unique accumulation target, sent
      exactly once at one update-entry. *)
-  touched : int Gptr.Tbl.t;  (* unique remote objects -> footprint bytes *)
+  touched : int Dpa_util.Int_tbl.t;
+      (* unique remote objects -> footprint bytes *)
   upd_touched : (Gptr.t * int, unit) Hashtbl.t;  (* unique update targets *)
   mutable opt_actual : int;  (* request+update+reply+app-ack bytes *)
   (* Causal tracing (Sink.set_causal): the per-ctx cursor state linking
@@ -195,11 +196,11 @@ let obs_align_clear o (n : Node.t) ~size =
       ~name:"align_clear"
 
 let obs_wait o (n : Node.t) token =
-  match Hashtbl.find_opt o.issued token with
-  | None -> ()
-  | Some t0 ->
-    Hashtbl.remove o.issued token;
-    Dpa_obs.Metrics.observe o.h_wait (n.Node.clock - t0)
+  let t0 = Dpa_util.Int_tbl.take o.issued token in
+  if t0 >= 0 then Dpa_obs.Metrics.observe o.h_wait (n.Node.clock - t0)
+
+let obs_touch ctx o (ptr : Gptr.t) =
+  Dpa_util.Int_tbl.replace o.touched (ptr :> int) (Heap.view_bytes ctx.heaps ptr)
 
 (* --- causal-tracing helpers -------------------------------------------- *)
 
@@ -601,23 +602,21 @@ and next_strip ctx =
 and deliver ctx reqs =
   List.iter
     (fun req ->
-      let resolved =
-        if ctx.rel then Pointer_map.take_opt ctx.map req.token
-        else Some (Pointer_map.take ctx.map req.token)
-      in
-      match resolved with
-      | None -> (
+      let ptr = Pointer_map.take_into ctx.map req.token ctx.ready in
+      if Gptr.is_nil ptr then begin
+        if not ctx.rel then raise Not_found;
         match ctx.obs with
         | None -> ()
-        | Some o -> obs_instant o ctx.node ~name:"dup_wake")
-      | Some (ptr, ks) ->
+        | Some o -> obs_instant o ctx.node ~name:"dup_wake"
+      end
+      else begin
         (match ctx.obs with
         | None -> ()
         | Some o ->
           obs_wait o ctx.node req.token;
-          Gptr.Tbl.replace o.touched ptr (Heap.view_bytes ctx.heaps ptr));
-        if ctx.cfg.Config.reuse then Align_buffer.add ctx.buffer ptr;
-        List.iter (fun k -> Ready_ring.push ctx.ready ptr k) ks)
+          obs_touch ctx o ptr);
+        if ctx.cfg.Config.reuse then Align_buffer.add ctx.buffer ptr
+      end)
     reqs;
   let peak = Align_buffer.peak ctx.buffer in
   if peak > ctx.stats.Dpa_stats.align_peak then
@@ -1026,7 +1025,7 @@ let read ctx ptr k =
     (match ctx.obs with
     | None -> ()
     | Some o ->
-      Gptr.Tbl.replace o.touched ptr (Heap.view_bytes ctx.heaps ptr);
+      obs_touch ctx o ptr;
       obs_instant o ctx.node ~name:"align_hit");
     note_outstanding ctx;
     Ready_ring.push ctx.ready ptr k;
@@ -1041,11 +1040,16 @@ let read ctx ptr k =
       | None -> ()
       | Some o -> obs_instant o ctx.node ~name:"merge_hit")
     | `New_request token ->
+      (* Validate a remote slot where its request issues, as a local one
+         is validated above, rather than in the owner's service handler.
+         A merged read shares a pointer this check already passed. *)
+      if Gptr.slot ptr >= Heap.size ctx.heaps.(Gptr.node ptr) then
+        invalid_arg "Runtime.read: dangling slot";
       ctx.stats.Dpa_stats.spawns <- ctx.stats.Dpa_stats.spawns + 1;
       (match ctx.obs with
       | None -> ()
       | Some o ->
-        Hashtbl.replace o.issued token ctx.node.Node.clock;
+        Dpa_util.Int_tbl.replace o.issued token ctx.node.Node.clock;
         Dpa_obs.Metrics.observe o.h_out ctx.pending;
         obs_instant
           ~args:[ ("dst", Dpa_obs.Sink.Int (Gptr.node ptr)) ]
@@ -1095,12 +1099,12 @@ let make_obs ~engine ~heaps ~label =
                 (Printf.sprintf "msg_bytes_dst%d.%s" d label));
         c_reply = Dpa_obs.Metrics.counter reg ("reply_bytes." ^ label);
         c_retry = Dpa_obs.Metrics.counter reg ("retries." ^ label);
-        issued = Hashtbl.create 64;
+        issued = Dpa_util.Int_tbl.create ~absent:(-1);
         strip_open = false;
         strip_start = 0;
         strip_id = 0;
         strip_items = 0;
-        touched = Gptr.Tbl.create 256;
+        touched = Dpa_util.Int_tbl.create ~absent:0;
         upd_touched = Hashtbl.create 256;
         opt_actual = 0;
         cau = Dpa_obs.Sink.causal sink;
@@ -1575,7 +1579,7 @@ let run_phase_labeled ~label ~engine ~heaps ~config ~items =
           | None -> (0, 0)
           | Some o ->
             let bound =
-              Gptr.Tbl.fold (fun _ b acc -> acc + b) o.touched 0
+              Dpa_util.Int_tbl.fold (fun _ b acc -> acc + b) o.touched 0
               + (Hashtbl.length o.upd_touched
                 * ctx.machine.Machine.update_entry_bytes)
             in

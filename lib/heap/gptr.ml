@@ -39,7 +39,14 @@ let pp ppf t =
 
 let show t = Format.asprintf "%a" pp t
 
-let hash (t : t) = (t * 0x9E3779B1) land max_int
+(* [Hashtbl.Make] picks a bucket from the hash's low bits, and the low
+   bits of a product depend only on the multiplicand's low bits — the
+   slot. Fold the node bits down first, then bring the well-mixed middle
+   of the product back down, so every bit of the pointer reaches the
+   bucket index. *)
+let hash (t : t) =
+  let h = (t lxor (t lsr 32)) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
 
 let bytes = 8
 

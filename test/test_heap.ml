@@ -10,6 +10,29 @@ let test_gptr_equal_hash () =
   Alcotest.(check bool) "equal" true (Gptr.equal a b);
   Alcotest.(check int) "hash equal" (Gptr.hash a) (Gptr.hash b)
 
+(* [Hashtbl.Make] picks a bucket from the hash's low bits. Pointers that
+   differ only in their node must still spread over the buckets (they
+   share every low bit), as must a whole cluster's pointers. *)
+let test_gptr_hash_spreads_nodes () =
+  let buckets = 1024 in
+  let distinct ptrs =
+    let seen = Hashtbl.create 64 in
+    List.iter
+      (fun p -> Hashtbl.replace seen (Gptr.hash p land (buckets - 1)) ())
+      ptrs;
+    Hashtbl.length seen
+  in
+  let same_slot = List.init 64 (fun node -> Gptr.make ~node ~slot:7) in
+  let n = distinct same_slot in
+  if n < 56 then Alcotest.failf "64 nodes, one slot: %d buckets" n;
+  let cluster =
+    List.concat
+      (List.init 32 (fun node ->
+           List.init 218 (fun slot -> Gptr.make ~node ~slot)))
+  in
+  let n = distinct cluster in
+  if n < 960 then Alcotest.failf "32 nodes x 218 slots: %d of 1024 buckets" n
+
 let test_obj_bytes () =
   let o = Obj_repr.make ~floats:[| 1.; 2.; 3. |] ~ptrs:[| Gptr.nil |] in
   Alcotest.(check int) "bytes" (8 + 24 + 8) (Obj_repr.bytes o)
@@ -381,6 +404,8 @@ let suites =
       [
         Alcotest.test_case "nil" `Quick test_gptr_nil;
         Alcotest.test_case "equal/hash" `Quick test_gptr_equal_hash;
+        Alcotest.test_case "hash spreads nodes" `Quick
+          test_gptr_hash_spreads_nodes;
       ] );
     ( "heap.obj",
       [

@@ -176,6 +176,174 @@ let qcheck_pointer_map_one_request_per_pointer =
         regs;
       true)
 
+(* M against a list model, with reuse on and off: tokens resolve to their
+   pointer and to their threads in registration order by every consuming
+   path ([take], [take_opt], [take_into]), an unknown token gives [None]
+   or [nil], and the counters and the outstanding set match after every
+   step. *)
+type map_op =
+  | Register of int  (* pointer index *)
+  | Take of int  (* token choice: an outstanding token, or an unknown one *)
+  | Take_opt of int
+  | Take_into of int
+  | Clear_map
+
+let map_ptrs =
+  Array.init 9 (fun i -> Dpa_heap.Gptr.make ~node:(i mod 3) ~slot:(i / 3))
+
+let gen_map_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun i -> Register i) (int_range 0 8));
+        (2, map (fun i -> Take i) (int_range (-1) 20));
+        (2, map (fun i -> Take_opt i) (int_range (-1) 20));
+        (3, map (fun i -> Take_into i) (int_range (-1) 20));
+        (1, return Clear_map);
+      ])
+
+let show_map_op = function
+  | Register i -> Printf.sprintf "register %d" i
+  | Take i -> Printf.sprintf "take %d" i
+  | Take_opt i -> Printf.sprintf "take_opt %d" i
+  | Take_into i -> Printf.sprintf "take_into %d" i
+  | Clear_map -> "clear"
+
+let qcheck_pointer_map_model ~reuse =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "M agrees with a list model (reuse %b)" reuse)
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_map_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) gen_map_op))
+    (fun ops ->
+      let module M = Dpa.Pointer_map in
+      let m = M.create () in
+      let ring = Dpa.Ready_ring.create ~dummy:(-1) in
+      (* token -> (pointer, threads in registration order), newest first *)
+      let model = ref [] in
+      let next_thread = ref 0 in
+      let pick i =
+        match !model with
+        | [] -> 10_000
+        | l ->
+          if i < 0 then 10_000 + i
+          else fst (List.nth l (i mod List.length l))
+      in
+      let expect token =
+        match List.assoc_opt token !model with
+        | None -> None
+        | Some r ->
+          model := List.remove_assoc token !model;
+          Some r
+      in
+      let drain () =
+        let out = ref [] in
+        while not (Dpa.Ready_ring.is_empty ring) do
+          out :=
+            (Dpa.Ready_ring.head_ptr ring, Dpa.Ready_ring.head_k ring) :: !out;
+          Dpa.Ready_ring.drop ring
+        done;
+        List.rev !out
+      in
+      let agree () =
+        let outstanding =
+          List.sort compare
+            (M.fold_outstanding m (fun tok p acc -> (tok, p) :: acc) [])
+        in
+        let expected =
+          List.sort compare (List.map (fun (tok, (p, _)) -> (tok, p)) !model)
+        in
+        M.outstanding m = List.length !model
+        && M.is_empty m = (!model = [])
+        && M.waiters m
+           = List.fold_left
+               (fun acc (_, (_, ks)) -> acc + List.length ks)
+               0 !model
+        && outstanding = expected
+        && List.for_all (fun (tok, (p, _)) -> M.find_ptr m tok = Some p) !model
+        && M.find_ptr m 10_000 = None
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Register i -> (
+            let p = map_ptrs.(i) in
+            let th = !next_thread in
+            incr next_thread;
+            let merge_onto =
+              if reuse then List.find_opt (fun (_, (q, _)) -> q = p) !model
+              else None
+            in
+            match (M.register m ~reuse p th, merge_onto) with
+            | `Merged, Some (tok, (_, ks)) ->
+              model := (tok, (p, ks @ [ th ])) :: List.remove_assoc tok !model
+            | `New_request tok, None ->
+              if List.mem_assoc tok !model then failwith "token reused";
+              model := (tok, (p, [ th ])) :: !model
+            | `Merged, None -> failwith "merged with nothing outstanding"
+            | `New_request _, Some _ -> failwith "requested twice")
+          | Take i -> (
+            let tok = pick i in
+            match (expect tok, M.take m tok) with
+            | Some r, got -> if got <> r then failwith "take: wrong result"
+            | None, _ -> failwith "take: unknown token resolved"
+            | exception Not_found ->
+              if List.mem_assoc tok !model then failwith "take: lost token")
+          | Take_opt i ->
+            let tok = pick i in
+            let want = expect tok in
+            if M.take_opt m tok <> want then failwith "take_opt: wrong result"
+          | Take_into i -> (
+            let tok = pick i in
+            let want = expect tok in
+            let p = M.take_into m tok ring in
+            match want with
+            | None ->
+              if not (Dpa_heap.Gptr.is_nil p) then
+                failwith "take_into: unknown token";
+              if drain () <> [] then
+                failwith "take_into: pushed for unknown token"
+            | Some (q, ks) ->
+              if p <> q then failwith "take_into: wrong pointer";
+              if drain () <> List.map (fun k -> (q, k)) ks then
+                failwith "take_into: wrong threads or order")
+          | Clear_map ->
+            M.clear m;
+            model := []);
+          agree ())
+        ops)
+
+(* The read path's tables allocate nothing once warm: a D lookup or insert
+   none, a merged registration only its thread's cons cell. *)
+let test_read_path_alloc_ceiling () =
+  let words_per_call = Test_fmm.words_per_call in
+  let check name ceiling w =
+    if w > ceiling then
+      Alcotest.failf "%s: %.2f words per call, ceiling %.0f" name w ceiling
+  in
+  let ptrs =
+    Array.init 1024 (fun i -> Dpa_heap.Gptr.make ~node:(i mod 32) ~slot:i)
+  in
+  let d = Dpa.Align_buffer.create () in
+  Array.iter (Dpa.Align_buffer.add d) ptrs;
+  Dpa.Align_buffer.clear d;
+  let i = ref 0 in
+  let next () =
+    i := (!i + 1) land 1023;
+    ptrs.(!i)
+  in
+  check "Align_buffer.add" 0.
+    (words_per_call ~n:1023 (fun () -> Dpa.Align_buffer.add d (next ())));
+  check "Align_buffer.mem" 0.
+    (words_per_call ~n:10_000 (fun () -> Dpa.Align_buffer.mem d (next ())));
+  let m = Dpa.Pointer_map.create () in
+  let k = fun () -> () in
+  Array.iter (fun p -> ignore (Dpa.Pointer_map.register m ~reuse:true p k)) ptrs;
+  check "merged register" 3.
+    (words_per_call ~n:10_000 (fun () ->
+         Dpa.Pointer_map.register m ~reuse:true (next ()) k))
+
 let test_align_buffer_strip_clear () =
   let d = Dpa.Align_buffer.create () in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:0 in
@@ -194,6 +362,10 @@ let suites =
         Alcotest.test_case "no-reuse never merges" `Quick
           test_pointer_map_no_reuse_never_merges;
         QCheck_alcotest.to_alcotest qcheck_pointer_map_one_request_per_pointer;
+        QCheck_alcotest.to_alcotest (qcheck_pointer_map_model ~reuse:true);
+        QCheck_alcotest.to_alcotest (qcheck_pointer_map_model ~reuse:false);
+        Alcotest.test_case "read-path allocation ceiling" `Quick
+          test_read_path_alloc_ceiling;
       ] );
     ( "core.align_buffer",
       [ Alcotest.test_case "strip clear" `Quick test_align_buffer_strip_clear ] );

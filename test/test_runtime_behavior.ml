@@ -135,20 +135,26 @@ let test_service_steals_owner_cpu () =
   Alcotest.(check bool) "owner charged comm time" true (owner.Node.comm_ns > 0);
   Alcotest.(check int) "owner did no local work" 0 owner.Node.local_ns
 
-(* Reading a heap slot that does not exist must surface, not hang. *)
+(* Reading a heap slot that does not exist must surface at the read, not
+   hang — and not later in the owner's service handler when the slot is
+   remote. *)
 let test_dangling_pointer_fails () =
-  let nnodes = 1 in
-  let heaps = Heap.cluster ~nnodes in
-  let engine = Engine.create (machine nnodes) in
-  let dangling = Gptr.make ~node:0 ~slot:99 in
-  let raised = ref false in
-  (try
-     ignore
-       (Dpa.Runtime.run_phase ~engine ~heaps ~config:(Dpa.Config.dpa ())
-          ~items:(fun _ ->
-            [| (fun ctx -> Dpa.Runtime.read ctx dangling (fun _ _ -> ())) |]))
-   with Invalid_argument _ -> raised := true);
-  Alcotest.(check bool) "dangling read raises" true !raised
+  let dangling_read ~nnodes ~owner =
+    let heaps = Heap.cluster ~nnodes in
+    let engine = Engine.create (machine nnodes) in
+    let dangling = Gptr.make ~node:owner ~slot:99 in
+    ignore
+      (Dpa.Runtime.run_phase ~engine ~heaps ~config:(Dpa.Config.dpa ())
+         ~items:(fun node ->
+           if node <> 0 then [||]
+           else
+             [| (fun ctx -> Dpa.Runtime.read ctx dangling (fun _ _ -> ())) |]))
+  in
+  let raises = Invalid_argument "Runtime.read: dangling slot" in
+  Alcotest.check_raises "local" raises (fun () ->
+      dangling_read ~nnodes:1 ~owner:0);
+  Alcotest.check_raises "remote" raises (fun () ->
+      dangling_read ~nnodes:2 ~owner:1)
 
 (* The caching baseline resolves reads in depth-first program order. *)
 let test_caching_dfs_order () =

@@ -165,6 +165,93 @@ let test_lru_eviction_order_qcheck =
       List.for_all (fun k -> L.mem c k) expected
       && L.size c = List.length expected)
 
+(* Int_tbl against Stdlib.Hashtbl. Keys come from a small range, with a
+   few pointer-shaped keys that differ only above bit 40, so tables of a
+   few dozen slots see long probe runs that wrap around the end of the
+   array; every operation is followed by a full comparison, so a
+   backward-shift deletion that loses or resurrects a key is caught at
+   the step that did it. *)
+type tbl_op =
+  | Replace of int * int
+  | Remove of int
+  | Take of int
+  | Clear
+
+let tbl_keys =
+  List.init 24 Fun.id @ List.init 4 (fun node -> (node lsl 40) lor 3)
+
+let gen_tbl_op =
+  QCheck.Gen.(
+    let key = oneofl tbl_keys in
+    frequency
+      [
+        (6, map2 (fun k v -> Replace (k, v)) key (int_range 0 99));
+        (3, map (fun k -> Remove k) key);
+        (2, map (fun k -> Take k) key);
+        (1, return Clear);
+      ])
+
+let show_tbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Take k -> Printf.sprintf "take %d" k
+  | Clear -> "clear"
+
+let test_int_tbl_model_qcheck =
+  QCheck.Test.make ~name:"int_tbl agrees with Hashtbl under random ops"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_tbl_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) gen_tbl_op))
+    (fun ops ->
+      let t = Int_tbl.create ~absent:(-1) in
+      let m = Hashtbl.create 16 in
+      let agree () =
+        let cap = Int_tbl.capacity t in
+        let bindings =
+          List.sort compare (Int_tbl.fold (fun k v acc -> (k, v) :: acc) t [])
+        in
+        let model =
+          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+        in
+        Int_tbl.length t = Hashtbl.length m
+        && cap land (cap - 1) = 0
+        && 2 * Int_tbl.length t <= cap
+        && bindings = model
+        && List.for_all
+             (fun k ->
+               let v = Option.value (Hashtbl.find_opt m k) ~default:(-1) in
+               Int_tbl.find t k = v && Int_tbl.mem t k = Hashtbl.mem m k)
+             (-1 :: tbl_keys)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+            Int_tbl.replace t k v;
+            Hashtbl.replace m k v
+          | Remove k ->
+            Int_tbl.remove t k;
+            Hashtbl.remove m k
+          | Take k ->
+            let v = Option.value (Hashtbl.find_opt m k) ~default:(-1) in
+            if Int_tbl.take t k <> v then failwith "take: wrong binding";
+            Hashtbl.remove m k
+          | Clear ->
+            let cap = Int_tbl.capacity t in
+            Int_tbl.clear t;
+            Hashtbl.reset m;
+            if Int_tbl.capacity t <> cap then failwith "clear: capacity lost");
+          agree ())
+        ops)
+
+let test_int_tbl_negative_key () =
+  let t = Int_tbl.create ~absent:0 in
+  Alcotest.check_raises "negative key"
+    (Invalid_argument "Int_tbl.replace: negative key") (fun () ->
+      Int_tbl.replace t (-1) 1);
+  Alcotest.(check int) "missing reads absent" 0 (Int_tbl.find t 5)
+
 let suites =
   [
     ( "util.rng",
@@ -191,5 +278,10 @@ let suites =
         Alcotest.test_case "replace" `Quick test_lru_replace;
         QCheck_alcotest.to_alcotest test_lru_eviction_order_qcheck;
         QCheck_alcotest.to_alcotest test_lru_zero_capacity_consistent_qcheck;
+      ] );
+    ( "util.int_tbl",
+      [
+        Alcotest.test_case "negative key" `Quick test_int_tbl_negative_key;
+        QCheck_alcotest.to_alcotest test_int_tbl_model_qcheck;
       ] );
   ]
